@@ -285,14 +285,14 @@ func BenchmarkAblationOffsetSize(b *testing.B) {
 // worker counts on every iteration.
 func BenchmarkCampaignAttackSuccess(b *testing.B) {
 	const seeds = 8
-	baseline, err := experiments.MeasureAttackSuccessWorkers(context.Background(), 1000, seeds, 1)
+	baseline, err := experiments.MeasureAttackSuccess(context.Background(), 1000, seeds, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.MeasureAttackSuccessWorkers(context.Background(), 1000, seeds, workers)
+				r, err := experiments.MeasureAttackSuccess(context.Background(), 1000, seeds, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -330,7 +330,7 @@ func BenchmarkAttackSuccessRates(b *testing.B) {
 	var r experiments.AttackSuccessRates
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.MeasureAttackSuccess(uint64(i)*997+1000, 3)
+		r, err = experiments.MeasureAttackSuccess(context.Background(), uint64(i)*997+1000, 3, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,16 +4,10 @@
 //
 // Usage:
 //
-//	puf-bench [-seed N] [-experiment all|E1..E12|A1|A2|A4|R1] [-noise counter|stream]
+//	puf-bench [-seed N] [-experiment all|E1..E12|A1|A2|A4|R1]
 //	puf-bench -json [-count N] [-json-out BENCH_attacks.json]
 //	         [-baseline BENCH_attacks.json] [-ns-gate-pct 15]
 //	puf-bench [...] -cpuprofile cpu.out -memprofile mem.out
-//
-// The attack-backed experiments (E5-E9, R1) and the -json benchmarks
-// enroll their devices under the silicon noise model named by -noise;
-// the default is the counter-mode model (O(k) sparse oracle queries),
-// -noise stream selects the legacy sequential-stream model whose
-// transcripts match the historical goldens.
 //
 // With -json the tool instead benchmarks the five end-to-end attacks
 // (the oracle-query hot path) plus three fleet-scale throughput
@@ -66,7 +60,6 @@ type benchConfig struct {
 	baseline   string
 	count      int
 	nsGatePct  float64
-	noise      silicon.NoiseModelKind
 	goldenDir  string
 	cpuProfile string
 	memProfile string
@@ -80,17 +73,10 @@ func main() {
 	count := flag.Int("count", 5, "benchmark repetitions per attack; the artifact records medians")
 	baseline := flag.String("baseline", "", "committed artifact to compare against; >2% allocs/op or >ns-gate-pct ns/op regression fails")
 	nsGatePct := flag.Float64("ns-gate-pct", 15, "median ns/op regression percentage that fails -baseline (0 disables)")
-	noiseName := flag.String("noise", "counter", "silicon noise model for attack-backed runs: counter or stream")
 	goldenDir := flag.String("golden", "", "regenerate the transcript golden matrix into this directory (typically testdata/transcripts) and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	noise, err := silicon.ParseNoiseModel(*noiseName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(2)
-	}
 
 	// All work runs inside run() so its deferred profile writers flush
 	// on EVERY exit path — a failing run is exactly when a profile is
@@ -103,7 +89,6 @@ func main() {
 		baseline:   *baseline,
 		count:      *count,
 		nsGatePct:  *nsGatePct,
-		noise:      noise,
 		goldenDir:  *goldenDir,
 		cpuProfile: *cpuProfile,
 		memProfile: *memProfile,
@@ -287,12 +272,11 @@ func runE4(cfg benchConfig) error {
 }
 
 // attackSpec builds the transcript Spec for one attack-backed
-// experiment under the invocation's noise model.
+// experiment.
 func attackSpec(cfg benchConfig, name string, expurgate bool) transcript.Spec {
 	return transcript.Spec{
 		Attack:    name,
 		Seed:      cfg.seed,
-		Noise:     cfg.noise.String(),
 		Expurgate: expurgate,
 	}
 }
@@ -415,7 +399,7 @@ func runA4(cfg benchConfig) error {
 }
 
 func runR1(cfg benchConfig) error {
-	r, err := experiments.MeasureAttackSuccessNoise(context.Background(), cfg.seed*1000, 5, 0, cfg.noise)
+	r, err := experiments.MeasureAttackSuccess(context.Background(), cfg.seed*1000, 5, 0)
 	if err != nil {
 		return err
 	}
@@ -549,7 +533,7 @@ func checkBaseline(artifact map[string]BenchRecord, path string, nsGatePct float
 }
 
 // runJSONBench measures the five end-to-end attacks with testing.Benchmark
-// under cfg.noise and writes the artifact. Each closure reports the
+// and writes the artifact. Each closure reports the
 // oracle-query count of its last run as a custom metric, mirroring
 // bench_test.go.
 func runJSONBench(cfg benchConfig) error {
@@ -557,7 +541,7 @@ func runJSONBench(cfg benchConfig) error {
 	if count < 1 {
 		count = 1
 	}
-	seed, noise := cfg.seed, cfg.noise
+	seed := cfg.seed
 	ctx := context.Background()
 	// benchAttack measures one attack end to end via RunAttack; only the
 	// seqpair bench runs the expurgated subcode, matching the historical
@@ -569,7 +553,6 @@ func runJSONBench(cfg benchConfig) error {
 				r, err := experiments.RunAttack(ctx, transcript.Spec{
 					Attack:    name,
 					Seed:      seed + uint64(i)*3 + seedOff,
-					Noise:     noise.String(),
 					Expurgate: name == "seqpair",
 				})
 				if err != nil {
@@ -581,11 +564,9 @@ func runJSONBench(cfg benchConfig) error {
 	}
 	// Fleet throughput pair: the batched SoA kernel vs the per-device
 	// loop it replaces, on identical 256-device × 8x16 workloads with a
-	// 50 µs counter window. Both run counter noise regardless of -noise:
-	// the fleet kernel exists only for that model.
+	// 50 µs counter window.
 	const fleetDevices = 256
 	fleetCfg := silicon.DefaultConfig(8, 16)
-	fleetCfg.Noise = silicon.NoiseCounter
 	fleetCfg.CounterWindowUS = 50
 	fleetSeeds := make([]uint64, fleetDevices)
 	for d := range fleetSeeds {
@@ -624,7 +605,6 @@ func runJSONBench(cfg benchConfig) error {
 		for i := 0; i < b.N; i++ {
 			if _, err := campaign.Run(ctx, campaign.Spec{
 				Task: "seqpair-attack", BaseSeed: seed, Seeds: campaignSeeds,
-				Options: campaign.Options{Noise: noise.String()},
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -643,7 +623,6 @@ func runJSONBench(cfg benchConfig) error {
 		{"PerDeviceSweep", benchPerDeviceSweep},
 		{"CampaignAttacks", benchCampaign},
 	}
-	fmt.Printf("noise model: %s\n", noise)
 	artifact := make(map[string]BenchRecord, len(benches))
 	for _, bench := range benches {
 		recs := make([]BenchRecord, 0, count)

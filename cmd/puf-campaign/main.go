@@ -19,14 +19,11 @@
 //	puf-campaign -list
 //	puf-campaign -task attack-success -seeds 64 -workers 8
 //	puf-campaign -task seqpair-attack -seeds 100 -base 42 -json
-//	puf-campaign -task groupbased-attack -noise stream -timeout 10m
+//	puf-campaign -task groupbased-attack -timeout 10m
 //	puf-campaign -addr http://localhost:8787 -task fig5 -seeds 256 -v
 //
-// Attack-backed tasks enroll their devices under the silicon noise
-// model named by -noise. The default is the counter-mode model (O(k)
-// sparse oracle queries); -noise stream selects the legacy
-// sequential-stream model whose transcripts match the historical
-// goldens.
+// Attack-backed tasks enroll their devices under the counter-mode
+// silicon noise model (O(k) sparse oracle queries).
 package main
 
 import (
@@ -42,7 +39,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/campaignd"
 	_ "repro/internal/experiments" // registers every experiment task
-	"repro/internal/silicon"
 )
 
 func main() {
@@ -51,7 +47,6 @@ func main() {
 	seeds := flag.Int("seeds", 16, "number of derived seeds (task instances)")
 	base := flag.Uint64("base", 1, "campaign base seed")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	noise := flag.String("noise", "counter", "silicon noise model for attack-backed tasks: counter or stream")
 	timeout := flag.Duration("timeout", 0, "campaign wall-time limit (0 = none)")
 	addr := flag.String("addr", "", "campaignd base URL (e.g. http://localhost:8787); empty = run locally")
 	shardSize := flag.Int("shard-size", 0, "seeds per checkpointed shard in client mode (0 = daemon default)")
@@ -73,9 +68,8 @@ func main() {
 	}
 
 	// Validate the whole spec up front — unknown task, non-positive
-	// seed count, bad noise model — before spinning up a pool or
-	// touching the network, with the same exit code the sibling CLIs
-	// use for usage errors.
+	// seed count — before spinning up a pool or touching the network,
+	// with the same exit code the sibling CLIs use for usage errors.
 	if *task == "" {
 		fmt.Fprintln(os.Stderr, "puf-campaign: -task is required (use -list to see tasks)")
 		os.Exit(2)
@@ -86,10 +80,6 @@ func main() {
 	}
 	if *seeds <= 0 {
 		fmt.Fprintf(os.Stderr, "puf-campaign: -seeds must be > 0 (got %d)\n", *seeds)
-		os.Exit(2)
-	}
-	if _, err := silicon.ParseNoiseModel(*noise); err != nil {
-		fmt.Fprintln(os.Stderr, "puf-campaign:", err)
 		os.Exit(2)
 	}
 
@@ -108,7 +98,6 @@ func main() {
 		BaseSeed:  *base,
 		Seeds:     *seeds,
 		Workers:   *workers,
-		Noise:     *noise,
 		ShardSize: *shardSize,
 	}
 
@@ -139,8 +128,8 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("campaign %s: %d seeds (base %d), %d workers, noise=%s, backend=%s, %s\n",
-		res.Task, res.Seeds, res.BaseSeed, res.Workers, *noise, backend, elapsed.Round(time.Millisecond))
+	fmt.Printf("campaign %s: %d seeds (base %d), %d workers, backend=%s, %s\n",
+		res.Task, res.Seeds, res.BaseSeed, res.Workers, backend, elapsed.Round(time.Millisecond))
 	printAggregates(res.Aggregates)
 }
 

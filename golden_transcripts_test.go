@@ -7,8 +7,8 @@ package repro
 // transcript harness. This test walks every cell and byte-compares the
 // regenerated transcript files against the committed ones, so keys,
 // recovery outcomes and the SPRT-driven oracle-query counts (sensitive
-// to every single App() outcome) are pinned bit-for-bit under both the
-// stream and counter silicon noise models.
+// to every single App() outcome) are pinned bit-for-bit under the
+// counter silicon noise model.
 //
 // Regenerate after an intentional behavior change with
 //
@@ -89,8 +89,8 @@ func TestGoldenTranscripts(t *testing.T) {
 }
 
 // TestTranscriptWorkerInvariance pins the batched-oracle contract that
-// the ad-hoc BatchTarget invariance tests used to cover: under both
-// noise models, a BatchTarget run is a pure function of the Spec — the
+// the ad-hoc BatchTarget invariance tests used to cover: under every
+// noise model, a BatchTarget run is a pure function of the Spec — the
 // worker count only changes scheduling, never the transcript. Workers=1
 // and workers=4 must agree byte-for-byte on every attack.
 func TestTranscriptWorkerInvariance(t *testing.T) {

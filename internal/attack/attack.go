@@ -54,8 +54,8 @@ type Spec struct {
 	// AmbientC is the current operating temperature the oracle runs at.
 	AmbientC float64
 	// Noise names the silicon noise model the simulated oracle draws
-	// its measurement noise from ("stream" or "counter"; empty for
-	// non-simulated oracles). Informational — attacks never branch on
+	// its measurement noise from ("counter"; empty for non-simulated
+	// oracles). Informational — attacks never branch on
 	// it; CLIs and reports surface it so transcript goldens are
 	// attributable to a model.
 	Noise string

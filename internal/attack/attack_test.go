@@ -177,7 +177,7 @@ func TestContextCancellationStopsAttack(t *testing.T) {
 
 // TestBatchTargetRecovers confirms the forked-noise oracle still drives
 // the attacks to full recovery (the statistics are unchanged even though
-// the noise streams differ from the serial transcript).
+// the forks' noise differs from the serial transcript's).
 func TestBatchTargetRecovers(t *testing.T) {
 	d := seqPairDevice(t, 31)
 	bt, err := NewBatchTarget(NewSeqPairTarget(d), 4, 7)
@@ -244,8 +244,8 @@ func benchName(workers int) string {
 // TestBatchTargetCounterSpec pins the counter-mode adapter surface the
 // batched backend exposes: the forked-oracle target reports the
 // device's noise model through Spec() and still drives the attack to
-// recovery. (Worker-count invariance under both noise models is pinned
-// per attack by TestTranscriptWorkerInvariance at the repository root.)
+// recovery. (Worker-count invariance is pinned per attack by
+// TestTranscriptWorkerInvariance at the repository root.)
 func TestBatchTargetCounterSpec(t *testing.T) {
 	d, err := device.EnrollSeqPair(device.SeqPairParams{
 		Rows: 8, Cols: 16,

@@ -33,12 +33,12 @@ type Metrics map[string]float64
 // Options carries cross-cutting execution options delivered to every
 // task instance of a campaign. Tasks read the fields that apply to
 // them and ignore the rest; the zero value always means the task's
-// legacy default. The engine itself never interprets these — keeping
+// default. The engine itself never interprets these — keeping
 // it free of experiment-domain dependencies.
 type Options struct {
 	// Noise names the silicon measurement-noise model attack-backed
-	// tasks should enroll their devices under ("stream" or "counter";
-	// empty = the task default, stream).
+	// tasks enroll their devices under ("counter"; empty = counter).
+	// Attack-backed tasks reject any other name.
 	Noise string
 	// Pool is the worker-confined reuse cache for expensive task state
 	// (enrolled devices, attack scratch). Run installs one per worker

@@ -59,7 +59,8 @@ type Spec struct {
 	// remaining shards).
 	Workers int `json:"workers,omitempty"`
 	// Noise names the silicon noise model for attack-backed tasks
-	// ("stream" or "counter"; empty = task default).
+	// ("counter"). Submit records an empty name as "counter", so every
+	// checkpoint names its model.
 	Noise string `json:"noise,omitempty"`
 	// ShardSize is the number of seeds per checkpointed shard
 	// (0 = the daemon default). Smaller shards checkpoint more often;
@@ -86,10 +87,8 @@ func (s Spec) Validate() error {
 	if s.ShardSize < 0 {
 		return fmt.Errorf("campaignd: shard_size must be >= 0 (got %d)", s.ShardSize)
 	}
-	if s.Noise != "" {
-		if _, err := silicon.ParseNoiseModel(s.Noise); err != nil {
-			return fmt.Errorf("campaignd: %w", err)
-		}
+	if _, err := silicon.ParseNoiseModel(s.Noise); err != nil {
+		return fmt.Errorf("campaignd: %w", err)
 	}
 	return nil
 }

@@ -109,11 +109,12 @@ func TestHTTPRejectsMalformedSpecs(t *testing.T) {
 		`{`,                            // truncated JSON
 		`{"task": 42}`,                 // wrong type
 		`{"task": "nope", "seeds": 4}`, // unknown task
-		`{"task": "campaignd-test-walk", "seeds": 0}`,                   // zero seeds
-		`{"task": "campaignd-test-walk", "seeds": -1}`,                  // negative seeds
-		`{"task": "campaignd-test-walk", "seeds": 4, "noise": "wat"}`,   // bad noise model
-		`{"task": "campaignd-test-walk", "seeds": 4, "frobnicate": 1}`,  // unknown field
-		`{"task": "campaignd-test-walk", "seeds": 4, "shard_size": -1}`, // bad shard size
+		`{"task": "campaignd-test-walk", "seeds": 0}`,                    // zero seeds
+		`{"task": "campaignd-test-walk", "seeds": -1}`,                   // negative seeds
+		`{"task": "campaignd-test-walk", "seeds": 4, "noise": "wat"}`,    // bad noise model
+		`{"task": "campaignd-test-walk", "seeds": 4, "noise": "stream"}`, // retired noise model
+		`{"task": "campaignd-test-walk", "seeds": 4, "frobnicate": 1}`,   // unknown field
+		`{"task": "campaignd-test-walk", "seeds": 4, "shard_size": -1}`,  // bad shard size
 	}
 	for _, body := range cases {
 		resp := postJSON(t, ts.URL+"/v1/campaigns", body)

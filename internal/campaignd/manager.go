@@ -17,6 +17,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/faultinject"
 	"repro/internal/rng"
+	"repro/internal/silicon"
 )
 
 // Options configures a Manager.
@@ -266,6 +267,9 @@ func (m *Manager) Submit(spec Spec) (JobStatus, error) {
 	if spec.ShardSize == 0 {
 		spec.ShardSize = m.opts.ShardSize
 	}
+	if spec.Noise == "" {
+		spec.Noise = silicon.NoiseCounter.String()
+	}
 	task, _ := campaign.Lookup(spec.Task)
 
 	if m.draining.Load() {
@@ -405,6 +409,12 @@ func (m *Manager) adopt(lj *loadedJob) error {
 		m.install(j)
 		m.counters.jobsRecovered.Add(1)
 		m.logf("campaignd: job %s recovered %s", j.id, j.state)
+	case lj.spec.Noise == "":
+		// Written before Submit named the noise model, when an empty
+		// name meant the retired stream model: resuming would merge its
+		// shards with counter-model ones, so refuse rather than guess.
+		// Finished jobs above stay readable; their shards share a model.
+		return fmt.Errorf("campaignd: job %s names no noise model; not resuming", lj.id)
 	default:
 		// Interrupted mid-sweep: reopen the file and resume.
 		ckpt, err := openCheckpoint(m.opts.StateDir, j.id)

@@ -376,3 +376,80 @@ func TestRecoverCompletedJob(t *testing.T) {
 		t.Fatalf("junk files became jobs: %+v", jobs)
 	}
 }
+
+// Checkpoints written before Submit named the noise model carry an
+// empty noise name, which then meant the retired stream model; a
+// "stream" spec names it outright and fails Validate. Resuming either
+// under the counter model would merge shards of two noise contracts
+// into one aggregate, so Recover never resumes them and nothing
+// panics. A finished empty-noise job is still recovered, result intact:
+// all its shards ran under one model.
+func TestRecoverSkipsLegacyNoiseCheckpoints(t *testing.T) {
+	outs := []campaign.Outcome{
+		{Index: 0, Seed: 11, Metrics: campaign.Metrics{"walk-sum": 1, "recovered": 1}},
+		{Index: 1, Seed: 12, Metrics: campaign.Metrics{"walk-sum": -1, "recovered": 0}},
+		{Index: 2, Seed: 13, Metrics: campaign.Metrics{"walk-sum": 2, "recovered": 1}},
+		{Index: 3, Seed: 14, Metrics: campaign.Metrics{"walk-sum": 3, "recovered": 1}},
+	}
+	for _, tc := range []struct {
+		name, noise string
+		shards      int  // checkpointed shards of 2
+		recovered   bool // installed as a finished job
+	}{
+		{"empty", "", 1, false},
+		{"stream", "stream", 1, false},
+		{"stream-done", "stream", 2, false},
+		{"empty-done", "", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const id = "c0123456789ab"
+			spec := Spec{Task: "campaignd-test-walk", BaseSeed: 3, Seeds: 4, Workers: 1, Noise: tc.noise, ShardSize: 2}
+			recs := []any{specRecord{Type: "spec", V: checkpointVersion, ID: id, Created: time.Unix(0, 0).UTC(), Spec: spec}}
+			for s := 0; s < tc.shards; s++ {
+				shard := outs[2*s : 2*s+2]
+				digest, err := outcomesDigest(shard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, shardRecord{Type: "shard", Shard: s, From: 2 * s, To: 2*s + 2, Outcomes: shard, Digest: digest})
+			}
+			if tc.shards == 2 {
+				recs = append(recs, statusRecord{Type: "status", State: StateDone, Finished: time.Unix(1, 0).UTC()})
+			}
+			var lines []string
+			for _, rec := range recs {
+				blob, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, string(blob))
+			}
+			path := filepath.Join(dir, id+checkpointExt)
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			m := newTestManager(t, Options{StateDir: dir, ShardSize: 2})
+			if err := m.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.counters.jobsResumed.Load(); n != 0 {
+				t.Fatalf("legacy checkpoint resumed (%d jobs)", n)
+			}
+			st, ok := m.Get(id, true)
+			if !tc.recovered {
+				if ok {
+					t.Fatalf("legacy checkpoint was adopted: %+v", st)
+				}
+				if jobs := m.List(); len(jobs) != 0 {
+					t.Fatalf("legacy checkpoint became a job: %+v", jobs)
+				}
+				return
+			}
+			if !ok || st.State != StateDone || st.Result == nil || len(st.Result.Outcomes) != len(outs) {
+				t.Fatalf("finished legacy job not readable: ok=%v %+v", ok, st)
+			}
+		})
+	}
+}

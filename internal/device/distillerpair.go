@@ -54,8 +54,8 @@ type DistillerPairParams struct {
 	K          int
 	Code       ecc.Code
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
+	// Noise names the silicon measurement-noise model; NoiseCounter,
+	// the zero value, is the only one.
 	Noise silicon.NoiseModelKind
 }
 
@@ -83,7 +83,7 @@ type DistillerPairDevice struct {
 	src      *rng.Source
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
-	noise   silicon.NoiseModel
+	noise   *silicon.Noise
 	scratch distillerScratch
 }
 
@@ -253,7 +253,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	if err != nil {
 		return nil, err
 	}
-	padded, blocks := padToBlocks(resp, p.Code)
+	padded, blocks := ecc.PadToBlocks(resp, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
 	off := ecc.EnrollOffset(block, padded, srcRun)
 	d.nvm = DistillerPairHelperNVM{Poly: poly, Masking: mask, Offset: off.W}
@@ -342,7 +342,7 @@ func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d
 
 // reconstructScratch regenerates the key into the scratch buffers: on
 // success the first respLen bits of d.scratch.recovered hold the key.
-// Bit-identical — outcomes and noise-stream consumption — to the
+// Bit-identical — outcomes and noise sweeps consumed — to the
 // allocating reconstruction it replaced.
 func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
 	sc := &d.scratch
@@ -382,7 +382,7 @@ func (d *DistillerPairDevice) App() bool {
 func (d *DistillerPairDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
 
 // Fork returns an independent oracle clone with its own helper NVM copy,
-// key binding, query counter, and noise stream seeded by seed (see
+// key binding, query counter, and measurement noise keyed by seed (see
 // SeqPairDevice.Fork).
 func (d *DistillerPairDevice) Fork(seed uint64) *DistillerPairDevice {
 	f := &DistillerPairDevice{

@@ -24,7 +24,7 @@ type FuzzyDevice struct {
 	key    []byte
 	src    *rng.Source
 	// noise is the per-oracle measurement-noise state.
-	noise silicon.NoiseModel
+	noise *silicon.Noise
 }
 
 // FuzzyParams configures a fuzzy-extractor device.
@@ -32,9 +32,6 @@ type FuzzyParams struct {
 	Rows, Cols int
 	Extractor  fuzzy.Params
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
-	Noise silicon.NoiseModelKind
 }
 
 // EnrollFuzzy manufactures and enrolls a device.
@@ -42,9 +39,7 @@ func EnrollFuzzy(p FuzzyParams, srcMfg, srcRun *rng.Source) (*FuzzyDevice, error
 	if p.EnrollReps < 1 {
 		return nil, fmt.Errorf("device: enrollment reps %d < 1", p.EnrollReps)
 	}
-	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
-	cfg.Noise = p.Noise
-	arr := silicon.NewArray(cfg, srcMfg)
+	arr := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), srcMfg)
 	env := arr.Config().NominalEnv()
 	pairs := pairing.ChainPairs(p.Rows, p.Cols, false)
 	noise := arr.NewNoise(srcRun)

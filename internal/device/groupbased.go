@@ -18,8 +18,7 @@ import (
 // device that re-encrypts known data under whatever key it regenerates.
 // App therefore reports reconstruction success against the key bound at
 // the LAST successful helper write (the attacker's predicted key), not
-// against the original enrollment. AppOriginal preserves the strict
-// matches-enrollment observable for honest-use experiments.
+// against the original enrollment.
 type GroupBasedDevice struct {
 	base
 	arr    *silicon.Array
@@ -35,7 +34,7 @@ type GroupBasedDevice struct {
 	src      *rng.Source
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
-	noise silicon.NoiseModel
+	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see
 	// groupbased.Scratch); per-device, not concurrency-safe — Fork
 	// clones the device so each concurrent arm owns its own.
@@ -60,7 +59,7 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	}
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	noise := arr.NewNoise(srcRun)
-	h, key, err := groupbased.EnrollWith(arr, p, srcRun, noise)
+	h, key, err := groupbased.Enroll(arr, p, srcRun, noise)
 	if err != nil {
 		return nil, err
 	}
@@ -124,14 +123,14 @@ func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
 
 // ReprovisionKey re-binds the application to whatever key the CURRENT
 // helper reconstructs, exactly as a helper write does: one fresh
-// reconstruction, consuming one measurement's noise from the device
-// stream; a failure leaves the binding unusable (zero-length), so every
-// App fails until a working helper is written — observable either way.
+// reconstruction, consuming one noise sweep of the device; a failure
+// leaves the binding unusable (zero-length), so every App fails until a
+// working helper is written — observable either way.
 // Adapters re-installing an identical helper image call this directly to
-// keep the write's observable side effects (binding and noise-stream
+// keep the write's observable side effects (binding and noise-sweep
 // consumption) without re-parsing the image.
 func (d *GroupBasedDevice) ReprovisionKey() {
-	if key, err := groupbased.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch); err == nil {
+	if key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch); err == nil {
 		d.bound = setBound(&d.boundBuf, key)
 	} else {
 		d.bound = bitvec.Vector{}
@@ -148,23 +147,15 @@ func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.bo
 // buffers (see SeqPairDevice.App for the determinism contract).
 func (d *GroupBasedDevice) App() bool {
 	d.addQuery()
-	got, err := groupbased.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
 	return err == nil && d.bound.Len() > 0 && keysEqual(got, d.bound)
-}
-
-// AppOriginal is the honest observable: reconstruction must match the
-// original enrollment key.
-func (d *GroupBasedDevice) AppOriginal() bool {
-	d.addQuery()
-	got, err := groupbased.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
-	return err == nil && keysEqual(got, d.enrolled)
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).
 func (d *GroupBasedDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
 
 // Fork returns an independent oracle clone with its own helper NVM copy,
-// key binding, query counter, and noise stream seeded by seed (see
+// key binding, query counter, and measurement noise keyed by seed (see
 // SeqPairDevice.Fork).
 func (d *GroupBasedDevice) Fork(seed uint64) *GroupBasedDevice {
 	f := &GroupBasedDevice{

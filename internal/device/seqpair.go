@@ -17,8 +17,8 @@ type SeqPairParams struct {
 	Policy       pairing.StoragePolicy
 	Code         ecc.Code
 	EnrollReps   int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
+	// Noise names the silicon measurement-noise model; NoiseCounter,
+	// the zero value, is the only one.
 	Noise silicon.NoiseModelKind
 }
 
@@ -36,9 +36,9 @@ type SeqPairDevice struct {
 	nvm    SeqPairHelperNVM
 	key    bitvec.Vector // enrolled key (secret, drives the observable)
 	src    *rng.Source
-	// noise is the per-oracle measurement-noise state (stream source or
-	// counter-mode sweep counter); Fork builds a fresh one per clone.
-	noise   silicon.NoiseModel
+	// noise is the per-oracle measurement-noise state (the counter-mode
+	// sweep counter); Fork builds a fresh one per clone.
+	noise   *silicon.Noise
 	scratch seqPairScratch
 }
 
@@ -134,7 +134,7 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 		return nil, fmt.Errorf("device: enrollment selected no pairs (threshold %v too high)", p.ThresholdMHz)
 	}
 	resp := pairing.Responses(f, helper.Pairs)
-	padded, blocks := padToBlocks(resp, p.Code)
+	padded, blocks := ecc.PadToBlocks(resp, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
 	off := ecc.EnrollOffset(block, padded, srcRun)
 	d := prev
@@ -204,8 +204,8 @@ func (d *SeqPairDevice) Code() ecc.Code { return d.params.Code }
 // compares it with the enrolled reference. The reconstruction runs
 // entirely in the device's scratch buffers (sparse measurement of the
 // helper-referenced oscillators, decode-into ECC), allocation-free in
-// steady state and bit-identical — keys, outcomes and noise-stream
-// consumption — to the allocating path it replaced.
+// steady state and bit-identical — keys, outcomes and noise sweeps
+// consumed — to the allocating path it replaced.
 func (d *SeqPairDevice) App() bool {
 	d.addQuery()
 	sc := &d.scratch
@@ -237,10 +237,9 @@ func (d *SeqPairDevice) App() bool {
 func (d *SeqPairDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
 
 // Fork returns an independent oracle clone: same silicon and enrollment,
-// its own helper NVM copy and query counter, and measurement noise drawn
-// from a fresh stream seeded by seed. Batched attack backends fork one
-// clone per hypothesis arm so concurrent queries neither race nor
-// entangle their noise streams.
+// its own helper NVM copy and query counter, and measurement noise keyed
+// from rng.New(seed). Batched attack backends fork one clone per
+// hypothesis arm so concurrent queries neither race nor share noise.
 func (d *SeqPairDevice) Fork(seed uint64) *SeqPairDevice {
 	f := &SeqPairDevice{
 		arr:    d.arr,
@@ -257,12 +256,3 @@ func (d *SeqPairDevice) Fork(seed uint64) *SeqPairDevice {
 // NoiseModel reports the silicon noise model the oracle runs under
 // (public device specification).
 func (d *SeqPairDevice) NoiseModel() silicon.NoiseModelKind { return d.params.Noise }
-
-func padToBlocks(resp bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (resp.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return resp.Concat(bitvec.New(blocks*n - resp.Len())), blocks
-}

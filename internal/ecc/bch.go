@@ -175,9 +175,6 @@ func (b *BCH) K() int { return b.k }
 // T returns the design correction radius.
 func (b *BCH) T() int { return b.t }
 
-// Generator returns a copy of the generator polynomial (GF(2) coefficients).
-func (b *BCH) Generator() galois.Poly { return b.gen.Clone() }
-
 // Encode performs systematic encoding: the message occupies coefficient
 // positions n-k..n-1 of the transmitted word and the parity, the remainder
 // of x^(fullN-fullK) * u(x) modulo g(x), occupies positions 0..n-k-1.

@@ -38,11 +38,17 @@ func NewBlock(inner Code, blocks int) *Block {
 	return b
 }
 
-// Inner returns the per-block code.
-func (b *Block) Inner() Code { return b.inner }
-
-// Blocks returns the block count.
-func (b *Block) Blocks() int { return b.blocks }
+// PadToBlocks zero-pads v to a whole number of code blocks (at least
+// one) and returns it with the block count: the layout every
+// construction hands to NewBlock.
+func PadToBlocks(v bitvec.Vector, code Code) (bitvec.Vector, int) {
+	n := code.N()
+	blocks := (v.Len() + n - 1) / n
+	if blocks == 0 {
+		blocks = 1
+	}
+	return v.Concat(bitvec.New(blocks*n - v.Len())), blocks
+}
 
 // N returns blocks * inner.N().
 func (b *Block) N() int { return b.blocks * b.inner.N() }

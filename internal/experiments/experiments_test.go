@@ -238,7 +238,7 @@ func TestMeasureAttackSuccessMultiSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
 	}
-	r, err := MeasureAttackSuccess(1000, 5)
+	r, err := MeasureAttackSuccess(context.Background(), 1000, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,64 +2,34 @@ package experiments
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/silicon"
 )
 
-// TestCampaignNoiseOptionThreads runs an attack-backed campaign task
-// under the counter noise model and checks (a) the option actually
-// changes the transcripts relative to the stream default, and (b) the
-// counter-mode campaign stays bit-identical across worker counts — the
-// "embarrassingly parallel per-query noise" property the counter
-// contract promises.
-func TestCampaignNoiseOptionThreads(t *testing.T) {
-	run := func(noise string, workers int) *campaign.Result {
-		res, err := campaign.Run(context.Background(), campaign.Spec{
-			Task: "seqpair-attack", BaseSeed: 77, Seeds: 3, Workers: workers,
-			Options: campaign.Options{Noise: noise},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	counterSerial := run("counter", 1)
-	counterPool := run("counter", 4)
-	if !reflect.DeepEqual(counterSerial.Outcomes, counterPool.Outcomes) {
-		t.Fatal("counter-mode campaign diverges across worker counts")
-	}
-	stream := run("stream", 1)
-	same := true
-	for i := range stream.Outcomes {
-		if stream.Outcomes[i].Metrics["oracle-queries"] != counterSerial.Outcomes[i].Metrics["oracle-queries"] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("counter option did not change any transcript; option likely not threaded")
-	}
-}
-
 // TestCampaignNoiseOptionRejectsUnknown pins the error path for a typo'd
-// model name.
+// model name and for the retired sequential-stream model, on a task
+// that hands the option to the transcript harness and on one that
+// validates it itself.
 func TestCampaignNoiseOptionRejectsUnknown(t *testing.T) {
-	_, err := campaign.Run(context.Background(), campaign.Spec{
-		Task: "seqpair-attack", BaseSeed: 1, Seeds: 1,
-		Options: campaign.Options{Noise: "quantum"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
-		t.Fatalf("err = %v, want unknown noise model", err)
+	for _, task := range []string{"seqpair-attack", "attack-success"} {
+		for _, noise := range []string{"quantum", "stream"} {
+			_, err := campaign.Run(context.Background(), campaign.Spec{
+				Task: task, BaseSeed: 1, Seeds: 1,
+				Options: campaign.Options{Noise: noise},
+			})
+			if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
+				t.Fatalf("%s noise %q: err = %v, want unknown noise model", task, noise, err)
+			}
+		}
 	}
 }
 
 // TestRunAttacksCounterRecover is the end-to-end counter-mode soundness
 // check across all five attacks on one device population.
 func TestRunAttacksCounterRecover(t *testing.T) {
-	o, err := attackAllOnSeed(context.Background(), 3, silicon.NoiseCounter, nil)
+	o, err := attackAllOnSeed(context.Background(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

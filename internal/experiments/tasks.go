@@ -18,15 +18,6 @@ import (
 	"repro/internal/transcript"
 )
 
-// taskNoise resolves the campaign-wide noise-model option for the
-// attack-backed tasks; empty means the legacy stream model.
-func taskNoise(opt campaign.Options) (silicon.NoiseModelKind, error) {
-	if opt.Noise == "" {
-		return silicon.NoiseStream, nil
-	}
-	return silicon.ParseNoiseModel(opt.Noise)
-}
-
 func init() {
 	campaign.Register(campaign.Task{
 		Name: "table-i", Desc: "Table I: compact and Kendall codings of all 24 orders", Figure: "Table I",
@@ -275,11 +266,12 @@ func init() {
 			"masking-recovered", "chain-recovered",
 		},
 		Run: func(ctx context.Context, seed uint64, opt campaign.Options) (campaign.Metrics, error) {
-			noise, err := taskNoise(opt)
-			if err != nil {
+			// The other attack tasks hand opt.Noise to transcript.Run,
+			// which rejects unknown models; this one must check it.
+			if _, err := silicon.ParseNoiseModel(opt.Noise); err != nil {
 				return nil, err
 			}
-			o, err := attackAllOnSeed(ctx, seed, noise, opt.Pool)
+			o, err := attackAllOnSeed(ctx, seed, opt.Pool)
 			if err != nil {
 				return nil, err
 			}
@@ -301,7 +293,6 @@ func init() {
 		Run: func(_ context.Context, seed uint64, opt campaign.Options) (campaign.Metrics, error) {
 			const devices, sweeps = 64, 8
 			cfg := silicon.DefaultConfig(8, 16)
-			cfg.Noise = silicon.NoiseCounter
 			seeds := make([]uint64, devices)
 			for d := range seeds {
 				seeds[d] = rng.StreamSeed(seed, uint64(d))

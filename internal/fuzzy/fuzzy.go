@@ -52,22 +52,13 @@ var ErrReconstructFailed = errors.New("fuzzy: key reconstruction failed")
 // commitment check fails.
 var ErrManipulationDetected = errors.New("fuzzy: helper-data manipulation detected")
 
-func padToBlocks(resp bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (resp.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return resp.Concat(bitvec.New(blocks*n - resp.Len())), blocks
-}
-
 // Enroll builds helper data and derives the key from an enrollment
 // response of arbitrary length (padded internally to ECC blocks).
 func Enroll(response bitvec.Vector, p Params, src *rng.Source) (Helper, []byte, error) {
 	if p.Code == nil {
 		return Helper{}, nil, errors.New("fuzzy: nil ECC")
 	}
-	padded, blocks := padToBlocks(response, p.Code)
+	padded, blocks := ecc.PadToBlocks(response, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
 	off := ecc.EnrollOffset(block, padded, src)
 	key := deriveKey(padded, off.W, p.Robust)
@@ -83,7 +74,7 @@ func Reconstruct(response bitvec.Vector, p Params, h Helper) ([]byte, error) {
 	if p.Code == nil {
 		return nil, errors.New("fuzzy: nil ECC")
 	}
-	padded, blocks := padToBlocks(response, p.Code)
+	padded, blocks := ecc.PadToBlocks(response, p.Code)
 	if padded.Len() != h.W.Len() {
 		return nil, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), padded.Len())
 	}

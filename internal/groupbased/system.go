@@ -29,8 +29,8 @@ type Params struct {
 	Code ecc.Code
 	// EnrollReps is the measurement-averaging factor at enrollment.
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
+	// Noise names the silicon measurement-noise model; NoiseCounter,
+	// the zero value, is the only one.
 	Noise silicon.NoiseModelKind
 }
 
@@ -179,28 +179,10 @@ func Entropy(g *Grouping) float64 {
 	return s
 }
 
-// padToBlocks zero-pads a stream to a whole number of code blocks and
-// returns it with the block count.
-func padToBlocks(stream bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (stream.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return stream.Concat(bitvec.New(blocks*n - stream.Len())), blocks
-}
-
 // Enroll manufactures the helper data and enrolled key of a device.
-// Randomness for the code-offset draw comes from src; measurement noise
-// follows the legacy sequential-stream model over the same source.
-func Enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
-	return EnrollWith(a, p, src, silicon.StreamNoise(src))
-}
-
-// EnrollWith is Enroll with the measurement noise drawn from an
-// explicit noise model; src still drives the code-offset draw. Under
-// silicon.StreamNoise(src) it is bit-identical to Enroll.
-func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseModel) (Helper, bitvec.Vector, error) {
+// Measurement noise is drawn from nm; randomness for the code-offset
+// draw comes from src.
+func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Helper, bitvec.Vector, error) {
 	if err := p.Validate(); err != nil {
 		return Helper{}, bitvec.Vector{}, err
 	}
@@ -213,7 +195,7 @@ func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseMod
 	residuals := distiller.Distill(p.Rows, p.Cols, f, poly)
 	grouping := GroupLimited(residuals, p.ThresholdMHz, p.maxGroupSize())
 	stream := KendallStream(&grouping, residuals)
-	padded, blocks := padToBlocks(stream, p.Code)
+	padded, blocks := ecc.PadToBlocks(stream, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
 	offset := ecc.EnrollOffset(block, padded, src)
 	key, err := PackKey(&grouping, padded)
@@ -223,20 +205,7 @@ func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseMod
 	return Helper{Poly: poly, Grouping: grouping, Offset: offset.W}, key, nil
 }
 
-// Reconstruct regenerates the key from one fresh measurement in the given
-// environment using (possibly attacker-controlled) helper data. It
-// performs the honest device's structural validation, then follows the
-// helper blindly — the paper's threat model.
-func Reconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, src *rng.Source) (bitvec.Vector, error) {
-	var sc Scratch
-	key, err := ReconstructInto(a, p, &h, env, src, &sc)
-	if err != nil {
-		return bitvec.Vector{}, err
-	}
-	return key, nil
-}
-
-// Scratch carries the reusable buffers of ReconstructInto. A zero value
+// Scratch carries the reusable buffers of Reconstruct. A zero value
 // is ready; a device keeps one per oracle and calls Invalidate whenever
 // its helper NVM changes so the helper-derived caches (validation,
 // member lists, distiller surface, stream geometry) are rebuilt. Not
@@ -277,7 +246,7 @@ type Scratch struct {
 	lastBeta    []float64
 }
 
-// Invalidate drops the helper-derived caches; the next ReconstructInto
+// Invalidate drops the helper-derived caches; the next Reconstruct
 // revalidates and rebuilds them.
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
 
@@ -292,9 +261,8 @@ func (sc *Scratch) InvalidateSilicon() {
 	sc.bases.Invalidate()
 }
 
-// refresh (re)builds the helper-derived caches, mirroring the structural
-// validation order of the legacy Reconstruct so failure modes and their
-// errors are unchanged.
+// refresh (re)builds the helper-derived caches, validating in a fixed
+// order so a malformed helper always fails with the same error.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	groupsSame := sc.groupsValid && slices.Equal(sc.lastAssign, h.Grouping.Assign)
 	if !groupsSame {
@@ -348,22 +316,19 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	return nil
 }
 
-// ReconstructInto is Reconstruct against caller-owned scratch state: the
-// reconstruction hot path the devices run per oracle query, free of
-// steady-state allocations. The returned key is scratch-owned and valid
-// until the next call; clone it to retain it. Keys, failure outcomes and
-// the measurement-noise stream consumption are bit-identical to
-// Reconstruct.
-func ReconstructInto(a *silicon.Array, p Params, h *Helper, env silicon.Environment, src *rng.Source, sc *Scratch) (bitvec.Vector, error) {
-	return ReconstructWith(a, p, h, env, silicon.StreamNoise(src), sc)
-}
-
-// ReconstructWith is ReconstructInto with the measurement noise drawn
-// from an explicit noise model. Only the oscillators in groups of two
-// or more members are measured and distilled (MeasureSparse +
-// DistillSparse): O(k) noise draws under the counter model, a
-// bit-identical draw-and-discard sweep under the stream model.
-func ReconstructWith(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm silicon.NoiseModel, sc *Scratch) (bitvec.Vector, error) {
+// Reconstruct regenerates the key from one fresh measurement in the
+// given environment using (possibly attacker-controlled) helper data,
+// drawing the measurement noise from nm. It performs the honest
+// device's structural validation, then follows the helper blindly — the
+// paper's threat model.
+//
+// It runs against caller-owned scratch state: the reconstruction hot
+// path the devices run per oracle query, free of steady-state
+// allocations. Only the oscillators in groups of two or more members
+// are measured and distilled (MeasureSparse + DistillSparse, O(k) noise
+// draws). The returned key is scratch-owned and valid until the next
+// call; clone it to retain it.
+func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
 	if !sc.helperValid {
 		if err := sc.refresh(a, p, h); err != nil {
 			return bitvec.Vector{}, err
@@ -375,7 +340,7 @@ func ReconstructWith(a *silicon.Array, p Params, h *Helper, env silicon.Environm
 	f := a.MeasureSparseBase(sc.freq[:a.N()], sc.idxs, sc.bases.For(a, env), nm)
 	sc.resid = distiller.DistillSparse(sc.resid, f, sc.grid, sc.idxs)
 	// Kendall-code the per-group orders straight into the zero-padded
-	// block buffer (the fusion of KendallStream and padToBlocks).
+	// block buffer (the fusion of KendallStream and ecc.PadToBlocks).
 	sc.padded.Zero()
 	at := 0
 	for _, members := range sc.members {

@@ -17,10 +17,7 @@
 //	arr.MeasureIntoWith(row, env, nm)   // sweep 0, 1, 2, ... in order
 //
 // (and MeasureSparse for subset sweeps) — pinned by the equivalence
-// tests in fleet_test.go. Fleet therefore requires cfg.Noise ==
-// NoiseCounter: the stream model's draw-and-discard parity contract is
-// inherently sequential per device and cannot be batched without
-// changing its bytes.
+// tests in fleet_test.go.
 package silicon
 
 import (
@@ -30,7 +27,7 @@ import (
 )
 
 // Fleet is N manufactured instances of one Config with shared
-// structure-of-arrays backing. Like NoiseModel state, a Fleet carries
+// structure-of-arrays backing. Like Noise state, a Fleet carries
 // its own sweep counter and is not safe for concurrent use.
 type Fleet struct {
 	cfg     Config
@@ -60,14 +57,10 @@ type Fleet struct {
 
 // NewFleet manufactures one device per seed, drawing each device's
 // variability and noise key from rng.New(seed) exactly as the
-// single-device enrollment path does. It panics on an invalid config or
-// a non-counter noise model.
+// single-device enrollment path does. It panics on an invalid config.
 func NewFleet(cfg Config, seeds []uint64) *Fleet {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.Noise != NoiseCounter {
-		panic(fmt.Sprintf("silicon: NewFleet requires the counter noise model, got %v", cfg.Noise))
 	}
 	n := cfg.Rows * cfg.Cols
 	f := &Fleet{

@@ -19,7 +19,7 @@ func fleetTestConfig(windowUS float64) Config {
 // the exact enrollment sequence of the device layer.
 type singleDevice struct {
 	arr *Array
-	nm  NoiseModel
+	nm  *Noise
 }
 
 func newSingleDevice(cfg Config, seed uint64) singleDevice {

@@ -8,39 +8,8 @@ import (
 	"repro/internal/rng"
 )
 
-func noiseTestArray(rows, cols int, noise NoiseModelKind) *Array {
-	cfg := DefaultConfig(rows, cols)
-	cfg.Noise = noise
-	return NewArray(cfg, rng.New(1))
-}
-
-// TestMeasureSparseStreamParity pins the stream model's draw-and-discard
-// contract: MeasureSparse over an index list is bit-identical — values
-// and stream state — to MeasureSubset over the equivalent mask, and to
-// MeasureInto at the wanted indices.
-func TestMeasureSparseStreamParity(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseStream)
-	env := Environment{TempC: 40, VoltageV: 1.15}
-	want := make([]bool, a.N())
-	var idxs []int
-	for i := 0; i < a.N(); i += 3 {
-		want[i] = true
-		idxs = append(idxs, i)
-	}
-	srcA, srcB, srcC := rng.New(9), rng.New(9), rng.New(9)
-	ref := make([]float64, a.N())
-	sub := make([]float64, a.N())
-	spr := make([]float64, a.N())
-	for round := 0; round < 5; round++ {
-		a.MeasureInto(ref, env, srcA)
-		a.MeasureSubset(sub, want, env, srcB)
-		a.MeasureSparse(spr, idxs, env, StreamNoise(srcC))
-		for _, i := range idxs {
-			if spr[i] != ref[i] || spr[i] != sub[i] {
-				t.Fatalf("round %d osc %d: sparse %v subset %v full %v", round, i, spr[i], sub[i], ref[i])
-			}
-		}
-	}
+func noiseTestArray(rows, cols int) *Array {
+	return NewArray(DefaultConfig(rows, cols), rng.New(1))
 }
 
 // TestMeasureSparseCounterMatchesFull pins the counter identity
@@ -48,10 +17,10 @@ func TestMeasureSparseStreamParity(t *testing.T) {
 // with the same (key, sweep counter) would produce at those indices —
 // while drawing only the subset's noise.
 func TestMeasureSparseCounterMatchesFull(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseCounter)
+	a := noiseTestArray(8, 16)
 	env := a.Config().NominalEnv()
-	full := CounterNoise(77)
-	sparse := CounterNoise(77)
+	full := a.NewNoise(rng.New(77))
+	sparse := a.NewNoise(rng.New(77))
 	idxs := []int{0, 1, 5, 17, 18, 19, 42, 127}
 	ref := make([]float64, a.N())
 	got := make([]float64, a.N())
@@ -66,13 +35,39 @@ func TestMeasureSparseCounterMatchesFull(t *testing.T) {
 	}
 }
 
+// TestMeasureIntoMatchesMeasureAll pins the bulk path: MeasureIntoWith
+// into a caller-owned buffer and the allocating MeasureAllWith produce
+// bit-identical frequencies, with and without counter quantization, and
+// leave their noise at the same sweep.
+func TestMeasureIntoMatchesMeasureAll(t *testing.T) {
+	for _, window := range []float64{0, 2.5} {
+		cfg := DefaultConfig(6, 7)
+		cfg.CounterWindowUS = window
+		a := NewArray(cfg, rng.New(1))
+		env := Environment{TempC: 40, VoltageV: 1.15}
+
+		nmA, nmB := a.NewNoise(rng.New(99)), a.NewNoise(rng.New(99))
+		ref := a.MeasureAllWith(env, nmA)
+		dst := make([]float64, a.N())
+		a.MeasureIntoWith(dst, env, nmB)
+		for i := range ref {
+			if ref[i] != dst[i] {
+				t.Fatalf("window=%v: oscillator %d: MeasureIntoWith %v != MeasureAllWith %v", window, i, dst[i], ref[i])
+			}
+		}
+		if *nmA != *nmB {
+			t.Fatalf("window=%v: noise state diverged after bulk measurement", window)
+		}
+	}
+}
+
 // TestCounterSweepAdvances checks that consecutive sweeps never share
 // noise and that a dedicated model reproduces any sweep from scratch
 // (per-(query, index) determinism).
 func TestCounterSweepAdvances(t *testing.T) {
-	a := noiseTestArray(4, 8, NoiseCounter)
+	a := noiseTestArray(4, 8)
 	env := a.Config().NominalEnv()
-	nm := CounterNoise(5)
+	nm := a.NewNoise(rng.New(5))
 	sweeps := make([][]float64, 4)
 	for r := range sweeps {
 		sweeps[r] = append([]float64(nil), a.MeasureIntoWith(make([]float64, a.N()), env, nm)...)
@@ -90,7 +85,7 @@ func TestCounterSweepAdvances(t *testing.T) {
 	}
 	// Replaying from a fresh model with the same key reproduces sweep 0
 	// onward bit for bit.
-	replay := CounterNoise(5)
+	replay := a.NewNoise(rng.New(5))
 	for r := range sweeps {
 		got := a.MeasureIntoWith(make([]float64, a.N()), env, replay)
 		for i := range got {
@@ -101,72 +96,30 @@ func TestCounterSweepAdvances(t *testing.T) {
 	}
 }
 
-// TestNoiseForkIndependence checks Fork determinism and independence
-// for both models: same seed → identical variates, different seeds →
+// TestNoiseForkIndependence checks the fork construction devices use
+// (Array.NewNoise over rng.New(forkSeed)) for determinism and
+// independence: same seed → identical variates, different seeds →
 // distinct variates.
 func TestNoiseForkIndependence(t *testing.T) {
-	for _, kind := range []NoiseModelKind{NoiseStream, NoiseCounter} {
-		parent := NewNoise(kind, rng.New(3))
-		a, b, c := parent.Fork(10), parent.Fork(10), parent.Fork(11)
-		bufA := make([]float64, 64)
-		bufB := make([]float64, 64)
-		bufC := make([]float64, 64)
-		a.FillAll(bufA)
-		b.FillAll(bufB)
-		c.FillAll(bufC)
-		same := 0
-		for i := range bufA {
-			if bufA[i] != bufB[i] {
-				t.Fatalf("%v: forks with equal seeds diverge at %d", kind, i)
-			}
-			if bufA[i] == bufC[i] {
-				same++
-			}
+	arr := noiseTestArray(8, 8)
+	a, b, c := arr.NewNoise(rng.New(10)), arr.NewNoise(rng.New(10)), arr.NewNoise(rng.New(11))
+	bufA := make([]float64, 64)
+	bufB := make([]float64, 64)
+	bufC := make([]float64, 64)
+	a.fill(bufA)
+	b.fill(bufB)
+	c.fill(bufC)
+	same := 0
+	for i := range bufA {
+		if bufA[i] != bufB[i] {
+			t.Fatalf("forks with equal seeds diverge at %d", i)
 		}
-		if same > 0 {
-			t.Fatalf("%v: forks with different seeds share %d values", kind, same)
+		if bufA[i] == bufC[i] {
+			same++
 		}
 	}
-}
-
-// TestMeasureAveragedIntoMatchesScalar pins the bulk enrollment path to
-// the scalar draw order it replaced: oscillator-major, repetition-minor
-// sequential Measure calls.
-func TestMeasureAveragedIntoMatchesScalar(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseStream)
-	env := Environment{TempC: 60, VoltageV: 1.22}
-	for _, reps := range []int{1, 3, 64, 65, 130} {
-		srcA, srcB := rng.New(uint64(reps)), rng.New(uint64(reps))
-		ref := make([]float64, a.N())
-		for i := range ref {
-			var s float64
-			for r := 0; r < reps; r++ {
-				s += a.Measure(i, env, srcA)
-			}
-			ref[i] = s / float64(reps)
-		}
-		got := a.MeasureAveragedInto(make([]float64, a.N()), env, srcB, reps)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("reps %d osc %d: %v != scalar %v", reps, i, got[i], ref[i])
-			}
-		}
-		if sA, sB := srcA.Uint64(), srcB.Uint64(); sA != sB {
-			t.Fatalf("reps %d: stream positions diverge after averaging", reps)
-		}
-	}
-}
-
-// TestMeasureAveragedIntoAllocFree is the enrollment-path allocs fence.
-func TestMeasureAveragedIntoAllocFree(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseStream)
-	env := a.Config().NominalEnv()
-	src := rng.New(2)
-	dst := make([]float64, a.N())
-	if allocs := testing.AllocsPerRun(20, func() {
-		a.MeasureAveragedInto(dst, env, src, 25)
-	}); allocs != 0 {
-		t.Fatalf("MeasureAveragedInto allocates %.1f/op, want 0", allocs)
+	if same > 0 {
+		t.Fatalf("forks with different seeds share %d values", same)
 	}
 }
 
@@ -174,9 +127,9 @@ func TestMeasureAveragedIntoAllocFree(t *testing.T) {
 // enrollment averaging: the per-oscillator mean over many sweeps must
 // converge to the true frequency.
 func TestMeasureAveragedWithCounterMoments(t *testing.T) {
-	a := noiseTestArray(4, 8, NoiseCounter)
+	a := noiseTestArray(4, 8)
 	env := a.Config().NominalEnv()
-	nm := CounterNoise(123)
+	nm := a.NewNoise(rng.New(123))
 	got := a.MeasureAveragedWith(env, nm, 400)
 	sigma := a.Config().NoiseSigmaMHz
 	for i := range got {
@@ -186,31 +139,20 @@ func TestMeasureAveragedWithCounterMoments(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasureSubsetModels is the sparse-vs-dense crossover: the
-// stream model pays the full-array noise tax at every subset fraction,
-// while the counter model's cost scales with k. The acceptance target
-// is a ≥3x counter-over-stream speedup at fraction ≤ 1/8.
-func BenchmarkMeasureSubsetModels(b *testing.B) {
+// BenchmarkMeasureSparse is the sparse-measurement cost curve: the
+// counter model draws only the subset's noise, so the cost scales with
+// the subset fraction k/N.
+func BenchmarkMeasureSparse(b *testing.B) {
 	const rows, cols = 16, 32
 	for _, frac := range []int{1, 4, 8, 32} {
 		var idxs []int
 		for i := 0; i < rows*cols; i += frac {
 			idxs = append(idxs, i)
 		}
-		b.Run(fmt.Sprintf("stream/frac-1of%d", frac), func(b *testing.B) {
-			a := noiseTestArray(rows, cols, NoiseStream)
+		b.Run(fmt.Sprintf("frac-1of%d", frac), func(b *testing.B) {
+			a := noiseTestArray(rows, cols)
 			env := a.Config().NominalEnv()
-			nm := StreamNoise(rng.New(1))
-			dst := make([]float64, a.N())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.MeasureSparse(dst, idxs, env, nm)
-			}
-		})
-		b.Run(fmt.Sprintf("counter/frac-1of%d", frac), func(b *testing.B) {
-			a := noiseTestArray(rows, cols, NoiseCounter)
-			env := a.Config().NominalEnv()
-			nm := CounterNoise(1)
+			nm := a.NewNoise(rng.New(1))
 			dst := make([]float64, a.N())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

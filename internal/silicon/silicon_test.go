@@ -192,12 +192,14 @@ func TestLinearityInTemperature(t *testing.T) {
 func TestMeasurementNoise(t *testing.T) {
 	a := testArray(17)
 	env := a.Config().NominalEnv()
-	src := rng.New(99)
+	nm := a.NewNoise(rng.New(99))
+	buf := make([]float64, a.N())
+	one := []int{0}
 	const reps = 20000
 	var sum, sumSq float64
 	truth := a.TrueFreq(0, env)
 	for r := 0; r < reps; r++ {
-		m := a.Measure(0, env, src)
+		m := a.MeasureSparse(buf, one, env, nm)[0]
 		sum += m - truth
 		sumSq += (m - truth) * (m - truth)
 	}
@@ -214,13 +216,15 @@ func TestMeasurementNoise(t *testing.T) {
 func TestMeasureAveragedReducesNoise(t *testing.T) {
 	a := testArray(19)
 	env := a.Config().NominalEnv()
-	src := rng.New(1)
+	nm := a.NewNoise(rng.New(1))
+	buf := make([]float64, a.N())
+	one := []int{3}
 	truth := a.TrueFreq(3, env)
 	var errSingle, errAvg float64
 	const trials = 500
 	for i := 0; i < trials; i++ {
-		errSingle += math.Abs(a.Measure(3, env, src) - truth)
-		errAvg += math.Abs(a.MeasureAveraged(env, src, 16)[3] - truth)
+		errSingle += math.Abs(a.MeasureSparse(buf, one, env, nm)[3] - truth)
+		errAvg += math.Abs(a.MeasureAveragedWith(env, nm, 16)[3] - truth)
 	}
 	if errAvg >= errSingle/2 {
 		t.Fatalf("averaging did not reduce error: single %v avg %v", errSingle/trials, errAvg/trials)
@@ -232,10 +236,8 @@ func TestCounterQuantization(t *testing.T) {
 	cfg.NoiseSigmaMHz = 0
 	cfg.CounterWindowUS = 10 // resolution 0.1 MHz
 	a := NewArray(cfg, rng.New(3))
-	src := rng.New(4)
 	env := cfg.NominalEnv()
-	for i := 0; i < a.N(); i++ {
-		m := a.Measure(i, env, src)
+	for i, m := range a.MeasureAllWith(env, a.NewNoise(rng.New(4))) {
 		scaled := m * cfg.CounterWindowUS
 		if math.Abs(scaled-math.Round(scaled)) > 1e-9 {
 			t.Fatalf("measurement %v not on the counter grid", m)
@@ -291,9 +293,9 @@ func TestPairDeltaFAntisymmetry(t *testing.T) {
 func BenchmarkMeasureAll128(b *testing.B) {
 	a := testArray(1)
 	env := a.Config().NominalEnv()
-	src := rng.New(2)
+	nm := a.NewNoise(rng.New(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.MeasureAll(env, src)
+		_ = a.MeasureAllWith(env, nm)
 	}
 }

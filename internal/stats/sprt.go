@@ -109,22 +109,3 @@ func (s *SPRT) Reset() {
 	s.llr = 0
 	s.n = 0
 }
-
-// ExpectedSamples returns Wald's approximation of the expected sample
-// size when the true failure rate is p.
-func (s *SPRT) ExpectedSamples(p float64) float64 {
-	mean := p*s.llr1 + (1-p)*s.llr0
-	if math.Abs(mean) < 1e-15 {
-		return math.Inf(1)
-	}
-	// Probability of accepting H1 under p via Wald's identity with the
-	// two-point boundary approximation.
-	var acceptH1 float64
-	switch {
-	case mean > 0:
-		acceptH1 = 1
-	default:
-		acceptH1 = 0
-	}
-	return (acceptH1*s.upper + (1-acceptH1)*s.lower) / mean
-}

@@ -99,8 +99,8 @@ type Params struct {
 	Code ecc.Code
 	// EnrollReps is the per-extreme measurement averaging factor.
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
+	// Noise names the silicon measurement-noise model; NoiseCounter,
+	// the zero value, is the only one.
 	Noise silicon.NoiseModelKind
 }
 
@@ -170,19 +170,10 @@ func classify(d0, d1, t0, t1, th, tmin, tmax float64) (PairClass, float64, float
 // Enroll measures the array at both operating extremes (the original
 // proposal's procedure), classifies every disjoint neighbor pair, wires
 // up the cooperation helper records, and computes the ECC offset over
-// the reference response. Measurement noise comes from the legacy
-// sequential-stream model over src; devices that run another noise
-// model enroll through EnrollWith.
-func Enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
-	return EnrollWith(a, p, src, silicon.StreamNoise(src))
-}
-
-// EnrollWith is Enroll with the measurement noise drawn from an
-// explicit noise model; src still drives the non-measurement enrollment
-// randomness (mask-order permutation, helping-pair selection, ECC
-// offset draw). Under silicon.StreamNoise(src) it is bit-identical to
-// Enroll.
-func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseModel) (Helper, bitvec.Vector, error) {
+// the reference response. Measurement noise is drawn from nm; src
+// drives the non-measurement enrollment randomness (mask-order
+// permutation, helping-pair selection, ECC offset draw).
+func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Helper, bitvec.Vector, error) {
 	if err := p.Validate(); err != nil {
 		return Helper{}, bitvec.Vector{}, err
 	}
@@ -252,7 +243,7 @@ func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseMod
 	}
 
 	resp := responseFromBits(infos, refBits)
-	padded, blocks := padToBlocks(resp, p.Code)
+	padded, blocks := ecc.PadToBlocks(resp, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
 	offset := ecc.EnrollOffset(block, padded, src)
 	key := keyBits(infos, padded)
@@ -292,15 +283,6 @@ func keyBits(infos []PairInfo, stream bitvec.Vector) bitvec.Vector {
 	return key
 }
 
-func padToBlocks(stream bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (stream.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return stream.Concat(bitvec.New(blocks*n - stream.Len())), blocks
-}
-
 // resolveBit reconstructs the bit of pair i at temperature T from a
 // fresh frequency snapshot, without cooperation (crossover compensation
 // only): measured sign, inverted above Th.
@@ -312,22 +294,7 @@ func resolveBit(info PairInfo, f []float64, tempC float64) bool {
 	return b
 }
 
-// Reconstruct regenerates the key at the given environment temperature
-// from (possibly manipulated) helper data. Structural validation mirrors
-// an honest device: index ranges and class tags are checked; the helping
-// pair must be outside its own declared interval at the current
-// temperature. Values of Tl/Th themselves are trusted — they are helper
-// data, and that trust is what the paper's acceleration trick abuses.
-func Reconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, src *rng.Source) (bitvec.Vector, error) {
-	var sc Scratch
-	key, err := ReconstructInto(a, p, &h, env, src, &sc)
-	if err != nil {
-		return bitvec.Vector{}, err
-	}
-	return key, nil
-}
-
-// Scratch carries the reusable buffers of ReconstructInto. A zero value
+// Scratch carries the reusable buffers of Reconstruct. A zero value
 // is ready; a device keeps one per oracle and calls Invalidate when its
 // helper NVM changes. Not safe for concurrent use — forks get their own
 // zero Scratch.
@@ -367,8 +334,7 @@ func (sc *Scratch) InvalidateSilicon() {
 
 // refresh (re)builds the helper-derived caches: validation, the subset
 // of oscillators the helper actually references (bad pairs contribute no
-// bits, so their oscillators are never measured — only their noise draws
-// are consumed, see silicon.MeasureSubset), and the ECC geometry.
+// bits, so their oscillators are never measured), and the ECC geometry.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	if err := ValidateHelper(*h, a.N()); err != nil {
 		return err
@@ -421,20 +387,19 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	return nil
 }
 
-// ReconstructInto is Reconstruct against caller-owned scratch state, the
-// devices' per-query hot path. The returned key is scratch-owned and
-// valid until the next call. Keys, failure outcomes and the noise-stream
-// consumption are bit-identical to Reconstruct.
-func ReconstructInto(a *silicon.Array, p Params, h *Helper, env silicon.Environment, src *rng.Source, sc *Scratch) (bitvec.Vector, error) {
-	return ReconstructWith(a, p, h, env, silicon.StreamNoise(src), sc)
-}
-
-// ReconstructWith is ReconstructInto with the measurement noise drawn
-// from an explicit noise model: only the helper-referenced oscillators
-// are measured (MeasureSparse), which is O(k) draws under the counter
-// model and a bit-identical draw-and-discard full sweep under the
-// stream model.
-func ReconstructWith(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm silicon.NoiseModel, sc *Scratch) (bitvec.Vector, error) {
+// Reconstruct regenerates the key at the given environment temperature
+// from (possibly manipulated) helper data, drawing the measurement
+// noise from nm. Structural validation mirrors an honest device: index
+// ranges and class tags are checked; the helping pair must be outside
+// its own declared interval at the current temperature. Values of Tl/Th
+// themselves are trusted — they are helper data, and that trust is what
+// the paper's acceleration trick abuses.
+//
+// It runs against caller-owned scratch state, the devices' per-query
+// hot path: only the helper-referenced oscillators are measured
+// (MeasureSparse, O(k) noise draws). The returned key is scratch-owned
+// and valid until the next call.
+func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
 	if !sc.helperValid {
 		if err := sc.refresh(a, p, h); err != nil {
 			return bitvec.Vector{}, err

@@ -41,7 +41,7 @@ func TestRunWithPoolMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	// One slot per (attack, noise) cell: the fingerprints partition.
+	// One slot per attack cell: the fingerprints partition.
 	if want := len(Attacks()) * len(NoiseModels); pool.Len() != want {
 		t.Fatalf("pool holds %d slots, want %d", pool.Len(), want)
 	}
@@ -58,7 +58,7 @@ func TestRunWithPoolReusesDevice(t *testing.T) {
 	if _, err := RunWith(ctx, spec, pool); err != nil {
 		t.Fatal(err)
 	}
-	ep := pool.Get("transcript:seqpair:counter:exp", func() any { t.Fatal("slot missing"); return nil }).(*enrollPool)
+	ep := pool.Get("transcript:seqpair:exp", func() any { t.Fatal("slot missing"); return nil }).(*enrollPool)
 	dev0, code0 := ep.dev, ep.code
 	if dev0 == nil || code0 == nil {
 		t.Fatal("pooled slot not populated")

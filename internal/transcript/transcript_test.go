@@ -18,10 +18,14 @@ func TestRunRejectsUnknownAttack(t *testing.T) {
 	}
 }
 
+// The retired sequential-stream model is rejected like any other
+// unknown name.
 func TestRunRejectsUnknownNoiseModel(t *testing.T) {
-	_, err := Run(context.Background(), Spec{Attack: "seqpair", Seed: 1, Noise: "thermal"})
-	if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
-		t.Fatalf("err = %v, want unknown-noise-model error", err)
+	for _, noise := range []string{"thermal", "stream"} {
+		_, err := Run(context.Background(), Spec{Attack: "seqpair", Seed: 1, Noise: noise})
+		if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
+			t.Fatalf("noise %q: err = %v, want unknown-noise-model error", noise, err)
+		}
 	}
 }
 
