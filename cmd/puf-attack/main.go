@@ -1,10 +1,11 @@
 // Command puf-attack runs any registered helper-data manipulation
-// attack end to end against a freshly enrolled simulated device and
-// reports the unified attack.Report: recovery outcome, oracle cost,
-// and per-phase breakdown.
+// attack end to end against the attack's reference device and reports
+// the unified attack.Report: recovery outcome, oracle cost, and
+// per-phase breakdown.
 //
-// The attack is resolved through the attack registry, so a newly
-// registered fifth attack shows up here with no CLI changes. With
+// The attack is resolved through the attack registry, and the device
+// is the one transcript.Enroll manufactures for it — the same
+// per-attack parameter table the goldens and experiments use. With
 // -workers > 1 the oracle is wrapped in the batched backend
 // (attack.BatchTarget), which evaluates the arms of each hypothesis
 // test concurrently on forked oracles — bit-identical results for any
@@ -23,178 +24,153 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/bitvec"
-	"repro/internal/device"
-	"repro/internal/ecc"
-	"repro/internal/groupbased"
-	"repro/internal/pairing"
-	"repro/internal/rng"
-	"repro/internal/tempco"
+	"repro/internal/transcript"
 )
 
-func main() {
-	name := flag.String("attack", "seqpair", "registered attack name (see -list)")
-	construction := flag.String("construction", "", "alias for -attack (deprecated)")
-	list := flag.Bool("list", false, "list registered attacks and exit")
-	seed := flag.Uint64("seed", 1, "device manufacturing seed")
-	strategy := flag.String("strategy", "sequential", "distinguisher: sequential or fixed")
-	workers := flag.Int("workers", 1, "batched oracle workers (> 1 wraps the target in attack.BatchTarget)")
-	budget := flag.Int("budget", 0, "oracle query budget (0 = unlimited)")
-	timeout := flag.Duration("timeout", 0, "attack wall-time limit (0 = none)")
-	verbose := flag.Bool("v", false, "print per-phase progress lines")
-	flag.Parse()
+// config is one parsed, validated invocation.
+type config struct {
+	attack   string
+	list     bool
+	seed     uint64
+	strategy string
+	workers  int
+	budget   int
+	timeout  time.Duration
+	verbose  bool
+}
 
-	if *list {
+func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+
+	if cfg.list {
 		fmt.Printf("%-12s %s\n", "ATTACK", "DESCRIPTION")
 		for _, a := range attack.Attacks() {
 			fmt.Printf("%-12s %s\n", a.Name(), a.Description())
 		}
 		return
 	}
-	if *construction != "" {
-		attackSet := false
-		flag.Visit(func(f *flag.Flag) { attackSet = attackSet || f.Name == "attack" })
-		if attackSet && *construction != *name {
-			fmt.Fprintln(os.Stderr, "puf-attack: -attack and -construction disagree; pass one")
-			os.Exit(2)
-		}
-		*name = *construction
-	}
-
-	dist := attack.DefaultDistinguisher()
-	if *strategy == "fixed" {
-		dist = attack.Distinguisher{Strategy: attack.FixedSample, Queries: 10}
-	}
 
 	ctx := context.Background()
-	if *timeout > 0 {
+	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
 
-	if err := run(ctx, *name, *seed, attack.Options{
-		Dist:        dist,
-		QueryBudget: *budget,
-	}, *workers, *verbose); err != nil {
+	target, truth, err := setup(cfg)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "puf-attack:", err)
 		os.Exit(1)
 	}
+	spec := target.Spec()
+	geometry := ""
+	if spec.Rows > 0 {
+		geometry = fmt.Sprintf("%dx%d array, ", spec.Rows, spec.Cols)
+	}
+	fmt.Printf("enrolled %s device: %scode %s, key %d bits (noise model: %s)\n",
+		spec.Construction, geometry, spec.Code, truth.Len(), spec.Noise)
+	if cfg.workers > 1 {
+		fmt.Printf("oracle backend: batched, %d workers\n", cfg.workers)
+	}
+
+	rep, err := run(ctx, cfg, target, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "puf-attack:", err)
+		os.Exit(1)
+	}
+	printReport(rep, truth)
 }
 
-func run(ctx context.Context, name string, seed uint64, opts attack.Options, workers int, verbose bool) error {
-	target, truth, desc, err := enroll(name, seed)
+// parseArgs parses and validates the command line, printing any error
+// to stderr; the caller exits 2 on a non-nil error (0 for -h).
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("puf-attack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.attack, "attack", "seqpair", "registered attack name (see -list)")
+	fs.BoolVar(&c.list, "list", false, "list registered attacks and exit")
+	fs.Uint64Var(&c.seed, "seed", 1, "device manufacturing seed")
+	fs.StringVar(&c.strategy, "strategy", "sequential", "distinguisher: sequential or fixed")
+	fs.IntVar(&c.workers, "workers", 1, "batched oracle workers (> 1 wraps the target in attack.BatchTarget)")
+	fs.IntVar(&c.budget, "budget", 0, "oracle query budget (0 = unlimited)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "attack wall-time limit (0 = none)")
+	fs.BoolVar(&c.verbose, "v", false, "print per-phase progress lines")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	var err error
+	switch {
+	case c.strategy != "sequential" && c.strategy != "fixed":
+		err = fmt.Errorf("-strategy %q: want sequential or fixed", c.strategy)
+	case c.budget < 0:
+		err = fmt.Errorf("-budget %d: want >= 0", c.budget)
+	case c.workers < 0:
+		err = fmt.Errorf("-workers %d: want >= 0", c.workers)
+	}
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "puf-attack:", err)
 	}
-	fmt.Printf("%s (noise model: %s)\n", desc, target.Spec().Noise)
+	return c, err
+}
 
-	if workers > 1 {
-		bt, err := attack.NewBatchTarget(target, workers, seed^0xba7c4)
-		if err != nil {
-			return err
-		}
-		target = bt
-		fmt.Printf("oracle backend: batched, %d workers\n", workers)
+// setup enrolls the attack's reference device and, for workers > 1,
+// wraps its oracle in the batched backend. It returns the target and
+// the enrolled key.
+func setup(cfg config) (attack.Target, bitvec.Vector, error) {
+	target, truth, err := transcript.Enroll(transcript.Spec{
+		Attack:    cfg.attack,
+		Seed:      cfg.seed,
+		Expurgate: cfg.attack == "seqpair",
+	})
+	if err != nil {
+		return nil, bitvec.Vector{}, err
 	}
-	if verbose {
+	if cfg.workers > 1 {
+		if target, err = attack.NewBatchTarget(target, cfg.workers, cfg.seed^0xba7c4); err != nil {
+			return nil, bitvec.Vector{}, err
+		}
+	}
+	return target, truth, nil
+}
+
+// run attacks target with the configured distinguisher and budget and
+// returns the report. With -v it writes one line per phase to progress.
+func run(ctx context.Context, cfg config, target attack.Target, progress io.Writer) (attack.Report, error) {
+	opts := attack.Options{Dist: attack.DefaultDistinguisher(), QueryBudget: cfg.budget}
+	if cfg.strategy == "fixed" {
+		opts.Dist = attack.Distinguisher{Strategy: attack.FixedSample, Queries: 10}
+	}
+	if cfg.verbose {
 		last := ""
 		opts.Progress = func(p attack.Progress) {
 			if p.Phase != last {
-				fmt.Printf("  phase %s...\n", p.Phase)
+				fmt.Fprintf(progress, "  phase %s...\n", p.Phase)
 				last = p.Phase
 			}
 		}
 	}
-
-	rep, err := attack.Run(ctx, name, target, opts)
-	if err != nil {
-		return err
-	}
-	printReport(rep, truth)
-	return nil
-}
-
-// enroll builds the standard device population entry for one attack and
-// returns its oracle, the enrolled key when the attack recovers one
-// (empty for relation-only attacks), and a banner line.
-func enroll(name string, seed uint64) (attack.Target, bitvec.Vector, string, error) {
-	srcMfg, srcRun := rng.New(seed), rng.New(seed+1)
-	switch name {
-	case "seqpair":
-		d, err := device.EnrollSeqPair(device.SeqPairParams{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.8,
-			Policy:       pairing.RandomizedStorage,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-			EnrollReps:   20,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		desc := fmt.Sprintf("enrolled LISA device: %d pairs, code %s", d.NumPairs(), d.Code())
-		return attack.NewSeqPairTarget(d), d.TrueKey(), desc, nil
-	case "tempco":
-		d, err := device.EnrollTempCo(tempco.Params{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.6,
-			TminC:        -20, TmaxC: 80,
-			Policy:     tempco.RandomSelection,
-			Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
-			EnrollReps: 25,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		good, bad, coop := tempco.CountClasses(d.ReadHelper())
-		desc := fmt.Sprintf("enrolled temperature-aware device: %d good / %d bad / %d cooperating pairs", good, bad, coop)
-		// Relation-only attack: no single recovered key to score.
-		return attack.NewTempCoTarget(d), bitvec.Vector{}, desc, nil
-	case "groupbased":
-		d, err := device.EnrollGroupBased(groupbased.Params{
-			Rows: 4, Cols: 10,
-			Degree:       2,
-			ThresholdMHz: 0.5,
-			MaxGroupSize: 6,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
-			EnrollReps:   25,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		desc := fmt.Sprintf("enrolled group-based device (Fig. 6a array): key %d bits", d.TrueKey().Len())
-		return attack.NewGroupBasedTarget(d), d.TrueKey(), desc, nil
-	case "masking", "chain":
-		mode := device.MaskedChain
-		if name == "chain" {
-			mode = device.OverlappingChain
-		}
-		d, err := device.EnrollDistillerPair(device.DistillerPairParams{
-			Rows: 4, Cols: 10,
-			Degree: 2, Mode: mode, K: 5,
-			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
-			EnrollReps: 25,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		desc := fmt.Sprintf("enrolled distiller device (%v): key %d bits", mode, d.TrueKey().Len())
-		return attack.NewDistillerTarget(d), d.TrueKey(), desc, nil
-	}
-	return nil, bitvec.Vector{}, "", fmt.Errorf("no standard device for attack %q (registry has %v)", name, attack.Names())
+	return attack.Run(ctx, cfg.attack, target, opts)
 }
 
 func printReport(rep attack.Report, truth bitvec.Vector) {
+	// Relation-only attacks (tempco) return no key to score.
 	if rep.Key.Len() > 0 {
 		fmt.Printf("recovered key : %s\n", rep.Key)
-	}
-	if truth.Len() > 0 {
 		fmt.Printf("true key      : %s\n", truth)
 		fmt.Printf("exact=%v ambiguous=%v\n", rep.Key.Equal(truth), rep.Ambiguous)
 	}

@@ -314,23 +314,9 @@ type Calibration struct {
 	Queries int
 }
 
-// Calibrate measures the two reference rates. nominal and elevated are
-// arms with the attack's common offset and offset+1 deterministic errors
-// respectively, built with value-independent manipulations.
-func Calibrate(nominal, elevated Arm, queriesEach int) Calibration {
-	return Calibration{
-		PNominal:  EstimateFailureRate(nominal, queriesEach),
-		PElevated: EstimateFailureRate(elevated, queriesEach),
-		Queries:   2 * queriesEach,
-	}
-}
-
 // Apply transfers calibrated rates onto a distinguisher.
 func (c Calibration) Apply(d Distinguisher) Distinguisher {
 	d.P0 = c.PNominal
 	d.P1 = c.PElevated
 	return d.normalized()
 }
-
-// Separation returns the rate gap; attacks abort when it collapses.
-func (c Calibration) Separation() float64 { return c.PElevated - c.PNominal }

@@ -493,23 +493,21 @@ type StrategyCost struct {
 	BothRecovered      bool
 }
 
+// seqPairReference is the expurgated seqpair reference device the A2/A4
+// ablations attack.
+func seqPairReference(seed uint64) transcript.Spec {
+	return transcript.Spec{Attack: "seqpair", Seed: seed, Expurgate: true}
+}
+
 // AblationStrategy runs the seqpair attack twice on identically
 // manufactured devices, once per strategy.
 func AblationStrategy(seed uint64) (StrategyCost, error) {
 	run := func(dist attack.Distinguisher) (int, bool, error) {
-		d, err := device.EnrollSeqPair(device.SeqPairParams{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.8,
-			Policy:       pairing.RandomizedStorage,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-			EnrollReps:   20,
-		}, rng.New(seed), rng.New(seed+1))
+		target, truth, err := transcript.Enroll(seqPairReference(seed))
 		if err != nil {
 			return 0, false, err
 		}
-		truth := d.TrueKey()
-		res, err := attack.Run(context.Background(), "seqpair", attack.NewSeqPairTarget(d),
-			attack.Options{Dist: dist})
+		res, err := attack.Run(context.Background(), "seqpair", target, attack.Options{Dist: dist})
 		if err != nil {
 			return 0, false, err
 		}
@@ -553,26 +551,22 @@ func AblationOffsetSize(seed uint64) ([]OffsetSizeRow, error) {
 // AblationOffsetSizeWorkers is AblationOffsetSize with an explicit
 // worker bound and cancellation (workers = 1 inside an outer pool).
 func AblationOffsetSizeWorkers(ctx context.Context, seed uint64, workers int) ([]OffsetSizeRow, error) {
-	params := device.SeqPairParams{
-		Rows: 8, Cols: 16,
-		ThresholdMHz: 0.8,
-		Policy:       pairing.RandomizedStorage,
-		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-		EnrollReps:   20,
+	probe, _, err := transcript.Enroll(seqPairReference(seed))
+	if err != nil {
+		return nil, err
 	}
-	tcap := params.Code.T()
+	tcap := probe.Spec().Code.T()
 	// Each offset level enrolls its own device from the same seed, so the
 	// levels are independent and fan out across the pool; the row order
 	// is fixed by the level index.
 	out := make([]OffsetSizeRow, tcap)
-	err := campaign.ForEach(ctx, tcap, workers, func(_ context.Context, i int) error {
+	err = campaign.ForEach(ctx, tcap, workers, func(_ context.Context, i int) error {
 		inject := i + 1
-		d, err := device.EnrollSeqPair(params, rng.New(seed), rng.New(seed+1))
+		target, truth, err := transcript.Enroll(seqPairReference(seed))
 		if err != nil {
 			return err
 		}
-		truth := d.TrueKey()
-		res, err := attack.Run(context.Background(), "seqpair", attack.NewSeqPairTarget(d),
+		res, err := attack.Run(context.Background(), "seqpair", target,
 			attack.Options{
 				Dist:         attack.DefaultDistinguisher(),
 				InjectErrors: inject,

@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/attack"
+	"repro/internal/bitvec"
 	"repro/internal/device"
 	"repro/internal/ecc"
 	"repro/internal/groupbased"
@@ -113,7 +114,7 @@ type Transcript struct {
 // the attack-specific transcript fields from the report.
 type cell struct {
 	target attack.Target
-	truth  string // enrolled key bit string
+	truth  bitvec.Vector // enrolled key
 	score  func(attack.Report, *Transcript)
 }
 
@@ -154,6 +155,16 @@ func (ep *enrollPool) codeOf(build func() ecc.Code) ecc.Code {
 	return ep.code
 }
 
+// Enroll manufactures spec's reference device and returns its oracle
+// and enrolled key. It is the same per-attack parameter table Run
+// attacks, exported for the tools that drive an attack themselves
+// (puf-attack, the A2/A4 ablations). Workers and ForkSeed are ignored:
+// wrapping the oracle is the caller's choice.
+func Enroll(spec Spec) (attack.Target, bitvec.Vector, error) {
+	c, err := enroll(spec, nil)
+	return c.target, c.truth, err
+}
+
 // Run executes one Spec and returns its Transcript.
 func Run(ctx context.Context, spec Spec) (Transcript, error) {
 	return RunWith(ctx, spec, nil)
@@ -166,9 +177,6 @@ func Run(ctx context.Context, spec Spec) (Transcript, error) {
 // and, transitively, by the golden suites over pooled campaigns); a nil
 // cache is exactly Run.
 func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
-	if _, err := silicon.ParseNoiseModel(spec.Noise); err != nil {
-		return Transcript{}, err
-	}
 	c, err := enroll(spec, cache)
 	if err != nil {
 		return Transcript{}, err
@@ -187,10 +195,11 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 	if err != nil {
 		return Transcript{}, err
 	}
-	sum := sha256.Sum256([]byte(c.truth))
+	truth := c.truth.String()
+	sum := sha256.Sum256([]byte(truth))
 	tr := Transcript{
 		Spec:              spec,
-		EnrolledKeyBits:   len(c.truth),
+		EnrolledKeyBits:   len(truth),
 		EnrolledKeyDigest: hex.EncodeToString(sum[:]),
 		Key:               rep.Key.String(),
 		Ambiguous:         rep.Ambiguous,
@@ -200,7 +209,7 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 	for _, ph := range rep.Phases {
 		tr.Phases = append(tr.Phases, PhaseCost{Name: ph.Name, Queries: ph.Queries})
 	}
-	tr.Recovered = tr.Key != "" && tr.Key == c.truth
+	tr.Recovered = tr.Key != "" && tr.Key == truth
 	c.score(rep, &tr)
 	return tr, nil
 }
@@ -208,12 +217,16 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 // enroll manufactures the reference device for spec and wraps it as a
 // scored cell. The device parameters are the repository's canonical
 // per-attack evaluation configuration (the paper's array geometries),
-// shared by experiments, benchmarks and goldens. With a non-nil cache,
-// enrollment adopts the pooled device for the spec's fingerprint (the
-// attack × code-option axes — everything that shapes the device besides
-// the seed); a reuse-enrollment error drops the pooled carcass so a
-// retry cannot adopt half-remanufactured state.
+// shared by Run, Enroll and through them every tool, experiment and
+// golden. An unknown noise model is rejected before enrollment. With a
+// non-nil cache, enrollment adopts the pooled device for the spec's
+// fingerprint (the attack × code-option axes — everything that shapes
+// the device besides the seed); a reuse-enrollment error drops the
+// pooled carcass so a retry cannot adopt half-remanufactured state.
 func enroll(spec Spec, cache Cache) (cell, error) {
+	if _, err := silicon.ParseNoiseModel(spec.Noise); err != nil {
+		return cell{}, err
+	}
 	mfg, run := rng.New(spec.Seed), rng.New(spec.Seed+1)
 	switch spec.Attack {
 	case "seqpair":
@@ -237,8 +250,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		truth := d.TrueKey().String()
-		return cell{target: attack.NewSeqPairTarget(d), truth: truth,
+		return cell{target: attack.NewSeqPairTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				tr.UpToComplement = tr.Recovered || rep.Key.Equal(d.TrueKey().Not())
 			}}, nil
@@ -260,7 +272,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		return cell{target: attack.NewTempCoTarget(d), truth: d.TrueKey().String(),
+		return cell{target: attack.NewTempCoTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				scoreTempCo(d, p, rep, tr)
 			}}, nil
@@ -281,7 +293,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		return cell{target: attack.NewGroupBasedTarget(d), truth: d.TrueKey().String(),
+		return cell{target: attack.NewGroupBasedTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				det := rep.Details.(attack.GroupBasedDetails)
 				tr.Groups = len(det.Orders)
@@ -308,7 +320,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		return cell{target: attack.NewDistillerTarget(d), truth: d.TrueKey().String(),
+		return cell{target: attack.NewDistillerTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				switch det := rep.Details.(type) {
 				case attack.MaskingDetails:

@@ -19,12 +19,16 @@ func TestRunRejectsUnknownAttack(t *testing.T) {
 }
 
 // The retired sequential-stream model is rejected like any other
-// unknown name.
+// unknown name, by Run and Enroll alike.
 func TestRunRejectsUnknownNoiseModel(t *testing.T) {
 	for _, noise := range []string{"thermal", "stream"} {
-		_, err := Run(context.Background(), Spec{Attack: "seqpair", Seed: 1, Noise: noise})
+		spec := Spec{Attack: "seqpair", Seed: 1, Noise: noise}
+		_, err := Run(context.Background(), spec)
 		if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
 			t.Fatalf("noise %q: err = %v, want unknown-noise-model error", noise, err)
+		}
+		if _, _, err := Enroll(spec); err == nil || !strings.Contains(err.Error(), "unknown noise model") {
+			t.Fatalf("noise %q: Enroll err = %v, want unknown-noise-model error", noise, err)
 		}
 	}
 }
