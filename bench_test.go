@@ -1,9 +1,10 @@
 // Package repro's bench harness regenerates every table and figure of
-// the paper (see DESIGN.md §4 for the E1-E12 experiment index and
-// EXPERIMENTS.md for paper-vs-measured outcomes). Each benchmark reports
-// the experiment's headline quantities as custom metrics so that
-// `go test -bench=. -benchmem` reproduces the evaluation in one run; the
-// cmd/puf-bench tool prints the same results as human-readable tables.
+// the paper (the E1-E12, A1/A2/A4 and R1 index is cmd/puf-bench's runner
+// table). Each benchmark reports the experiment's headline quantities as
+// custom metrics so that `go test -bench=. -benchmem` reproduces the
+// evaluation in one run; the cmd/puf-bench tool prints the same results
+// as human-readable tables. Profile one experiment with, e.g.,
+// `go test -run '^$' -bench Fig6a -cpuprofile cpu.out .`.
 package repro
 
 import (

@@ -1,182 +1,36 @@
 // Command puf-bench regenerates every table and figure of the paper as
-// human-readable text (the numeric counterpart of the bench targets in
-// bench_test.go; see DESIGN.md §4 for the experiment index).
+// human-readable text. Each experiment has a benchmark counterpart in
+// bench_test.go (BenchmarkFig6a for E5, and so on), which is also the
+// way to profile one: go test -run '^$' -bench Fig6a -cpuprofile cpu.out .
+// Performance is measured by the perfbench module, not by this tool.
 //
 // Usage:
 //
 //	puf-bench [-seed N] [-experiment all|E1..E12|A1|A2|A4|R1]
-//	puf-bench -json [-count N] [-json-out BENCH_attacks.json]
-//	         [-baseline BENCH_attacks.json] [-ns-gate-pct 15]
-//	puf-bench [...] -cpuprofile cpu.out -memprofile mem.out
-//
-// With -json the tool instead benchmarks the five end-to-end attacks
-// (the oracle-query hot path) plus three fleet-scale throughput
-// workloads — FleetSweep (batched SoA measurement kernel, reported as
-// fleet_devices_per_sec), PerDeviceSweep (the per-device loop it
-// replaces, devices_per_sec) and CampaignAttacks (a pooled attack
-// campaign, attacks_per_sec_per_core) — via testing.Benchmark and
-// writes a machine-readable perf artifact — benchmark name → ns/op,
-// allocs/op, B/op and oracle-queries — so the repository accumulates a
-// perf trajectory across PRs instead of anecdotes. Each benchmark runs
-// -count times (default 5) and the artifact records per-field medians,
-// so a noisy neighbor on the measurement host cannot contaminate the
-// committed numbers. With -baseline the run additionally compares
-// against a committed artifact and exits nonzero when any attack's
-// allocs/op — deterministic — regresses by more than 2%, or when its
-// median ns/op regresses by more than -ns-gate-pct percent (default
-// 15; 0 disables the wall-clock gate for hosts that cannot hold a
-// stable clock).
-//
-// The -cpuprofile/-memprofile flags wrap either mode in a pprof capture
-// (`go tool pprof` reads the output), the profiling workflow the README
-// documents.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/rng"
-	"repro/internal/silicon"
 	"repro/internal/transcript"
 )
-
-// benchConfig carries one invocation's settings through run().
-type benchConfig struct {
-	seed       uint64
-	which      string
-	jsonMode   bool
-	jsonOut    string
-	baseline   string
-	count      int
-	nsGatePct  float64
-	goldenDir  string
-	cpuProfile string
-	memProfile string
-}
 
 func main() {
 	seed := flag.Uint64("seed", 1, "master seed for all experiments")
 	which := flag.String("experiment", "all", "experiment id (E1..E12, A1, A2, A4, R1) or 'all'")
-	jsonMode := flag.Bool("json", false, "benchmark the attack hot paths and write a JSON perf artifact")
-	jsonOut := flag.String("json-out", "BENCH_attacks.json", "output path of the -json artifact")
-	count := flag.Int("count", 5, "benchmark repetitions per attack; the artifact records medians")
-	baseline := flag.String("baseline", "", "committed artifact to compare against; >2% allocs/op or >ns-gate-pct ns/op regression fails")
-	nsGatePct := flag.Float64("ns-gate-pct", 15, "median ns/op regression percentage that fails -baseline (0 disables)")
-	goldenDir := flag.String("golden", "", "regenerate the transcript golden matrix into this directory (typically testdata/transcripts) and exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	// All work runs inside run() so its deferred profile writers flush
-	// on EVERY exit path — a failing run is exactly when a profile is
-	// wanted; os.Exit happens only after run returns.
-	os.Exit(run(benchConfig{
-		seed:       *seed,
-		which:      *which,
-		jsonMode:   *jsonMode,
-		jsonOut:    *jsonOut,
-		baseline:   *baseline,
-		count:      *count,
-		nsGatePct:  *nsGatePct,
-		goldenDir:  *goldenDir,
-		cpuProfile: *cpuProfile,
-		memProfile: *memProfile,
-	}))
+	os.Exit(run(*seed, *which))
 }
 
-// runGolden regenerates every transcript golden file into dir — the
-// same bytes `go test -run TestGoldenTranscripts -update` writes, so CI
-// can regenerate and `git diff` for staleness without invoking the test
-// binary.
-func runGolden(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	files := transcript.GoldenFiles()
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		trs, err := transcript.RunAll(context.Background(), files[name])
-		if err != nil {
-			return err
-		}
-		data, err := transcript.Marshal(trs)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d transcripts)\n", path, len(trs))
-	}
-	return nil
-}
-
-// run executes one puf-bench invocation and returns the process status.
-func run(cfg benchConfig) int {
-	if cfg.cpuProfile != "" {
-		f, err := os.Create(cfg.cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	defer func() {
-		if cfg.memProfile == "" {
-			return
-		}
-		f, err := os.Create(cfg.memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		}
-	}()
-
-	if cfg.goldenDir != "" {
-		if err := runGolden(cfg.goldenDir); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if cfg.jsonMode {
-		if err := runJSONBench(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
+// run executes the selected experiments and returns the process status.
+func run(seed uint64, which string) int {
 	runners := []struct {
 		id  string
-		fn  func(benchConfig) error
+		fn  func(seed uint64) error
 		doc string
 	}{
 		{"E1", runE1, "Table I: compact and Kendall coding"},
@@ -197,25 +51,25 @@ func run(cfg benchConfig) int {
 	}
 	ran := false
 	for _, r := range runners {
-		if cfg.which != "all" && cfg.which != r.id {
+		if which != "all" && which != r.id {
 			continue
 		}
 		ran = true
 		fmt.Printf("==== %s — %s ====\n", r.id, r.doc)
-		if err := r.fn(cfg); err != nil {
+		if err := r.fn(seed); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.id, err)
 			return 1
 		}
 		fmt.Println()
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cfg.which)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
 		return 2
 	}
 	return 0
 }
 
-func runE1(benchConfig) error {
+func runE1(uint64) error {
 	rows := experiments.TableI()
 	fmt.Printf("%-6s %-8s %-8s\n", "Order", "Compact", "Kendall")
 	for _, r := range rows {
@@ -224,8 +78,8 @@ func runE1(benchConfig) error {
 	return nil
 }
 
-func runE2(cfg benchConfig) error {
-	r, err := experiments.Fig2(cfg.seed)
+func runE2(seed uint64) error {
+	r, err := experiments.Fig2(seed)
 	if err != nil {
 		return err
 	}
@@ -238,8 +92,8 @@ func runE2(cfg benchConfig) error {
 	return nil
 }
 
-func runE3(cfg benchConfig) error {
-	rows, err := experiments.Fig3(cfg.seed, []float64{0.2, 0.4, 0.6, 0.8, 1.2, 1.6, 2.4})
+func runE3(seed uint64) error {
+	rows, err := experiments.Fig3(seed, []float64{0.2, 0.4, 0.6, 0.8, 1.2, 1.6, 2.4})
 	if err != nil {
 		return err
 	}
@@ -250,8 +104,8 @@ func runE3(cfg benchConfig) error {
 	return nil
 }
 
-func runE4(cfg benchConfig) error {
-	r, err := experiments.Fig5(cfg.seed, 2000)
+func runE4(seed uint64) error {
+	r, err := experiments.Fig5(seed, 2000)
 	if err != nil {
 		return err
 	}
@@ -271,18 +125,8 @@ func runE4(cfg benchConfig) error {
 	return nil
 }
 
-// attackSpec builds the transcript Spec for one attack-backed
-// experiment.
-func attackSpec(cfg benchConfig, name string, expurgate bool) transcript.Spec {
-	return transcript.Spec{
-		Attack:    name,
-		Seed:      cfg.seed,
-		Expurgate: expurgate,
-	}
-}
-
-func runE5(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "groupbased", false))
+func runE5(seed uint64) error {
+	r, err := experiments.RunAttack(context.Background(), transcript.Spec{Attack: "groupbased", Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -292,8 +136,8 @@ func runE5(cfg benchConfig) error {
 	return nil
 }
 
-func runE6(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "masking", false))
+func runE6(seed uint64) error {
+	r, err := experiments.RunAttack(context.Background(), transcript.Spec{Attack: "masking", Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -302,8 +146,8 @@ func runE6(cfg benchConfig) error {
 	return nil
 }
 
-func runE7(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "chain", false))
+func runE7(seed uint64) error {
+	r, err := experiments.RunAttack(context.Background(), transcript.Spec{Attack: "chain", Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -312,9 +156,9 @@ func runE7(cfg benchConfig) error {
 	return nil
 }
 
-func runE8(cfg benchConfig) error {
+func runE8(seed uint64) error {
 	for _, exp := range []bool{false, true} {
-		r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "seqpair", exp))
+		r, err := experiments.RunAttack(context.Background(), transcript.Spec{Attack: "seqpair", Seed: seed, Expurgate: exp})
 		if err != nil {
 			return err
 		}
@@ -328,8 +172,8 @@ func runE8(cfg benchConfig) error {
 	return nil
 }
 
-func runE9(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "tempco", false))
+func runE9(seed uint64) error {
+	r, err := experiments.RunAttack(context.Background(), transcript.Spec{Attack: "tempco", Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -340,8 +184,8 @@ func runE9(cfg benchConfig) error {
 	return nil
 }
 
-func runE11(cfg benchConfig) error {
-	rows := experiments.EntropyAccounting(cfg.seed, []float64{0.2, 0.4, 0.6, 1.0, 1.5, 2.0})
+func runE11(seed uint64) error {
+	rows := experiments.EntropyAccounting(seed, []float64{0.2, 0.4, 0.6, 1.0, 1.5, 2.0})
 	if rows == nil {
 		return fmt.Errorf("entropy accounting failed")
 	}
@@ -353,8 +197,8 @@ func runE11(cfg benchConfig) error {
 	return nil
 }
 
-func runE12(cfg benchConfig) error {
-	r, err := experiments.FuzzyResistance(cfg.seed, 60)
+func runE12(seed uint64) error {
+	r, err := experiments.FuzzyResistance(seed, 60)
 	if err != nil {
 		return err
 	}
@@ -365,8 +209,8 @@ func runE12(cfg benchConfig) error {
 	return nil
 }
 
-func runA1(cfg benchConfig) error {
-	r, err := experiments.AblationStoragePolicy(cfg.seed, 20)
+func runA1(seed uint64) error {
+	r, err := experiments.AblationStoragePolicy(seed, 20)
 	if err != nil {
 		return err
 	}
@@ -375,8 +219,8 @@ func runA1(cfg benchConfig) error {
 	return nil
 }
 
-func runA2(cfg benchConfig) error {
-	r, err := experiments.AblationStrategy(cfg.seed)
+func runA2(seed uint64) error {
+	r, err := experiments.AblationStrategy(seed)
 	if err != nil {
 		return err
 	}
@@ -386,8 +230,8 @@ func runA2(cfg benchConfig) error {
 	return nil
 }
 
-func runA4(cfg benchConfig) error {
-	rows, err := experiments.AblationOffsetSize(cfg.seed)
+func runA4(seed uint64) error {
+	rows, err := experiments.AblationOffsetSize(seed)
 	if err != nil {
 		return err
 	}
@@ -398,8 +242,8 @@ func runA4(cfg benchConfig) error {
 	return nil
 }
 
-func runR1(cfg benchConfig) error {
-	r, err := experiments.MeasureAttackSuccess(context.Background(), cfg.seed*1000, 5, 0)
+func runR1(seed uint64) error {
+	r, err := experiments.MeasureAttackSuccess(context.Background(), seed*1000, 5, 0)
 	if err != nil {
 		return err
 	}
@@ -409,266 +253,5 @@ func runR1(cfg benchConfig) error {
 	fmt.Printf("  §VI-D distiller+masking  : %.2f\n", r.Masking)
 	fmt.Printf("  §VI-D distiller+chain    : %.2f\n", r.Chain)
 	fmt.Printf("  §VI-B relation accuracy  : %.2f\n", r.TempCoRel)
-	return nil
-}
-
-// BenchRecord is one entry of the BENCH_attacks.json artifact. The
-// throughput fields are derived from the median ns/op after reduction,
-// so they carry no extra noise; each is populated only on the record it
-// describes (omitempty keeps the attack records unchanged).
-type BenchRecord struct {
-	NsPerOp       int64   `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	OracleQueries float64 `json:"oracle_queries"`
-	Iterations    int     `json:"iterations"`
-	// FleetDevicesPerSec: devices measured per second by the batched
-	// SoA fleet kernel (FleetSweep record).
-	FleetDevicesPerSec float64 `json:"fleet_devices_per_sec,omitempty"`
-	// DevicesPerSec: the same workload through the single-device
-	// enroll-and-measure path (PerDeviceSweep record) — the denominator
-	// of the fleet speedup.
-	DevicesPerSec float64 `json:"devices_per_sec,omitempty"`
-	// AttacksPerSecPerCore: end-to-end pooled attack campaign
-	// throughput, normalized by core count (CampaignAttacks record).
-	AttacksPerSecPerCore float64 `json:"attacks_per_sec_per_core,omitempty"`
-}
-
-// medianInt64 returns the median of xs (lower-middle for even counts),
-// sorting a copy.
-func medianInt64(xs []int64) int64 {
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
-}
-
-// medianRecord reduces repeated measurements of one benchmark to their
-// per-field medians. The deterministic fields (allocs/op, oracle
-// queries) are identical across repetitions; the median protects the
-// timing-derived ones from scheduler noise on the measurement host.
-func medianRecord(recs []BenchRecord) BenchRecord {
-	ns := make([]int64, len(recs))
-	allocs := make([]int64, len(recs))
-	bytes := make([]int64, len(recs))
-	iters := make([]int64, len(recs))
-	for i, r := range recs {
-		ns[i], allocs[i], bytes[i], iters[i] = r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, int64(r.Iterations)
-	}
-	return BenchRecord{
-		NsPerOp:       medianInt64(ns),
-		AllocsPerOp:   medianInt64(allocs),
-		BytesPerOp:    medianInt64(bytes),
-		OracleQueries: recs[len(recs)-1].OracleQueries,
-		Iterations:    int(medianInt64(iters)),
-	}
-}
-
-// checkBaseline compares a fresh artifact against a committed one.
-// Two gates fail the run: allocs/op beyond 2% of the baseline
-// (deterministic, so the tolerance only absorbs rounding from
-// iteration-count changes), and median ns/op beyond nsGatePct percent
-// — the -count medians on both sides are what make a wall-clock gate
-// tenable at all; nsGatePct <= 0 turns the wall-clock gate back into a
-// report-only column for hosts that cannot hold a stable clock.
-func checkBaseline(artifact map[string]BenchRecord, path string, nsGatePct float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base map[string]BenchRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		b := base[name]
-		cur, ok := artifact[name]
-		if !ok {
-			fmt.Printf("%-18s MISSING from this run (baseline %d allocs/op)\n", name, b.AllocsPerOp)
-			failures = append(failures, name+" missing")
-			continue
-		}
-		allocLimit := float64(b.AllocsPerOp) * 1.02
-		status := "ok"
-		if float64(cur.AllocsPerOp) > allocLimit {
-			status = "ALLOC REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s allocs/op %d -> %d", name, b.AllocsPerOp, cur.AllocsPerOp))
-		}
-		nsDelta := 100 * float64(cur.NsPerOp-b.NsPerOp) / float64(b.NsPerOp)
-		nsStatus := "gated"
-		if nsGatePct <= 0 {
-			nsStatus = "informational"
-		} else if nsDelta > nsGatePct {
-			status = "NS REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s ns/op %d -> %d (%+.1f%%)", name, b.NsPerOp, cur.NsPerOp, nsDelta))
-		}
-		fmt.Printf("%-18s allocs/op %d -> %d (limit %.0f) %-16s ns/op %d -> %d (%+.1f%%, %s)\n",
-			name, b.AllocsPerOp, cur.AllocsPerOp, allocLimit, status,
-			b.NsPerOp, cur.NsPerOp, nsDelta, nsStatus)
-	}
-	// Forward compatibility: a benchmark present in this run but absent
-	// from the committed baseline is informational, never a failure —
-	// new benchmarks land in the same PR that adds them, before any
-	// baseline that knows their names exists.
-	fresh := make([]string, 0)
-	for name := range artifact {
-		if _, ok := base[name]; !ok {
-			fresh = append(fresh, name)
-		}
-	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		cur := artifact[name]
-		fmt.Printf("%-18s NEW (no baseline) %d ns/op %d allocs/op\n", name, cur.NsPerOp, cur.AllocsPerOp)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("regressed beyond the baseline %s: %v", path, failures)
-	}
-	return nil
-}
-
-// runJSONBench measures the five end-to-end attacks with testing.Benchmark
-// and writes the artifact. Each closure reports the
-// oracle-query count of its last run as a custom metric, mirroring
-// bench_test.go.
-func runJSONBench(cfg benchConfig) error {
-	count := cfg.count
-	if count < 1 {
-		count = 1
-	}
-	seed := cfg.seed
-	ctx := context.Background()
-	// benchAttack measures one attack end to end via RunAttack; only the
-	// seqpair bench runs the expurgated subcode, matching the historical
-	// artifact.
-	benchAttack := func(name string, seedOff uint64) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunAttack(ctx, transcript.Spec{
-					Attack:    name,
-					Seed:      seed + uint64(i)*3 + seedOff,
-					Expurgate: name == "seqpair",
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(r.Queries), "oracle-queries")
-			}
-		}
-	}
-	// Fleet throughput pair: the batched SoA kernel vs the per-device
-	// loop it replaces, on identical 256-device × 8x16 workloads with a
-	// 50 µs counter window.
-	const fleetDevices = 256
-	fleetCfg := silicon.DefaultConfig(8, 16)
-	fleetCfg.CounterWindowUS = 50
-	fleetSeeds := make([]uint64, fleetDevices)
-	for d := range fleetSeeds {
-		fleetSeeds[d] = rng.StreamSeed(seed, uint64(d))
-	}
-	benchFleetSweep := func(b *testing.B) {
-		fleet := silicon.NewFleet(fleetCfg, fleetSeeds)
-		dst := make([]float64, fleet.Devices()*fleet.NumOsc())
-		env := fleetCfg.NominalEnv()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fleet.MeasureFleetInto(dst, env)
-		}
-	}
-	benchPerDeviceSweep := func(b *testing.B) {
-		env := fleetCfg.NominalEnv()
-		dst := make([]float64, fleetCfg.Rows*fleetCfg.Cols)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for d := 0; d < fleetDevices; d++ {
-				src := rng.New(fleetSeeds[d])
-				arr := silicon.NewArray(fleetCfg, src)
-				nm := arr.NewNoise(src)
-				arr.MeasureIntoWith(dst, env, nm)
-			}
-		}
-	}
-	// CampaignAttacks: one op = a pooled seqpair-attack campaign over
-	// campaignSeeds device populations on every core — the fleet-scale
-	// end-to-end number the per-core throughput field derives from.
-	const campaignSeeds = 16
-	benchCampaign := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := campaign.Run(ctx, campaign.Spec{
-				Task: "seqpair-attack", BaseSeed: seed, Seeds: campaignSeeds,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	benches := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"AttackSeqPair", benchAttack("seqpair", 5)},
-		{"AttackTempCo", benchAttack("tempco", 7)},
-		{"AttackGroupBased", benchAttack("groupbased", 9)},
-		{"AttackMasking", benchAttack("masking", 11)},
-		{"AttackChain", benchAttack("chain", 13)},
-		{"FleetSweep", benchFleetSweep},
-		{"PerDeviceSweep", benchPerDeviceSweep},
-		{"CampaignAttacks", benchCampaign},
-	}
-	artifact := make(map[string]BenchRecord, len(benches))
-	for _, bench := range benches {
-		recs := make([]BenchRecord, 0, count)
-		for c := 0; c < count; c++ {
-			res := testing.Benchmark(bench.fn)
-			if res.N == 0 {
-				// testing.Benchmark swallows b.Fatal; a zero-iteration
-				// result means the attack under measurement failed.
-				return fmt.Errorf("%s failed to complete a single iteration", bench.name)
-			}
-			recs = append(recs, BenchRecord{
-				NsPerOp:       res.NsPerOp(),
-				AllocsPerOp:   res.AllocsPerOp(),
-				BytesPerOp:    res.AllocedBytesPerOp(),
-				OracleQueries: res.Extra["oracle-queries"],
-				Iterations:    res.N,
-			})
-		}
-		rec := medianRecord(recs)
-		// Throughput fields derive from the median ns/op so they inherit
-		// its noise rejection instead of adding a second noisy estimate.
-		if rec.NsPerOp > 0 {
-			switch bench.name {
-			case "FleetSweep":
-				rec.FleetDevicesPerSec = fleetDevices * 1e9 / float64(rec.NsPerOp)
-			case "PerDeviceSweep":
-				rec.DevicesPerSec = fleetDevices * 1e9 / float64(rec.NsPerOp)
-			case "CampaignAttacks":
-				rec.AttacksPerSecPerCore = campaignSeeds * 1e9 / float64(rec.NsPerOp) / float64(runtime.NumCPU())
-			}
-		}
-		artifact[bench.name] = rec
-		fmt.Printf("%-18s %12d ns/op %10d allocs/op %10d B/op %8.0f oracle-queries (median of %d)\n",
-			bench.name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, rec.OracleQueries, count)
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(cfg.jsonOut, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", cfg.jsonOut)
-	if cfg.baseline != "" {
-		return checkBaseline(artifact, cfg.baseline, cfg.nsGatePct)
-	}
 	return nil
 }

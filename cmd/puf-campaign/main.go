@@ -29,8 +29,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -41,20 +43,26 @@ import (
 	_ "repro/internal/experiments" // registers every experiment task
 )
 
-func main() {
-	task := flag.String("task", "", "registered task name (see -list)")
-	list := flag.Bool("list", false, "list registered tasks and exit")
-	seeds := flag.Int("seeds", 16, "number of derived seeds (task instances)")
-	base := flag.Uint64("base", 1, "campaign base seed")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "campaign wall-time limit (0 = none)")
-	addr := flag.String("addr", "", "campaignd base URL (e.g. http://localhost:8787); empty = run locally")
-	shardSize := flag.Int("shard-size", 0, "seeds per checkpointed shard in client mode (0 = daemon default)")
-	jsonOut := flag.Bool("json", false, "emit the full result as JSON")
-	verbose := flag.Bool("v", false, "print per-seed outcomes (local) or shard progress (client) as they complete")
-	flag.Parse()
+// config is one parsed, validated invocation.
+type config struct {
+	spec    campaignd.Spec
+	list    bool
+	timeout time.Duration
+	addr    string
+	jsonOut bool
+	verbose bool
+}
 
-	if *list {
+func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+
+	if cfg.list {
 		fmt.Printf("%-20s %-10s %s\n", "TASK", "FIGURE", "DESCRIPTION")
 		for _, t := range campaign.Tasks() {
 			fig := t.Figure
@@ -67,51 +75,26 @@ func main() {
 		return
 	}
 
-	// Validate the whole spec up front — unknown task, non-positive
-	// seed count — before spinning up a pool or touching the network,
-	// with the same exit code the sibling CLIs use for usage errors.
-	if *task == "" {
-		fmt.Fprintln(os.Stderr, "puf-campaign: -task is required (use -list to see tasks)")
-		os.Exit(2)
-	}
-	if _, ok := campaign.Lookup(*task); !ok {
-		fmt.Fprintf(os.Stderr, "puf-campaign: unknown task %q (use -list to see tasks)\n", *task)
-		os.Exit(2)
-	}
-	if *seeds <= 0 {
-		fmt.Fprintf(os.Stderr, "puf-campaign: -seeds must be > 0 (got %d)\n", *seeds)
-		os.Exit(2)
-	}
-
 	// Ctrl-C cancels the campaign cleanly mid-run; -timeout adds the
 	// same deadline control puf-attack exposes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if *timeout > 0 {
+	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
-	}
-
-	spec := campaignd.Spec{
-		Task:      *task,
-		BaseSeed:  *base,
-		Seeds:     *seeds,
-		Workers:   *workers,
-		ShardSize: *shardSize,
 	}
 
 	var (
 		res     *campaign.Result
-		err     error
 		start   = time.Now()
 		backend = "local"
 	)
-	if *addr != "" {
-		backend = *addr
-		res, err = runRemote(ctx, *addr, spec, *verbose)
+	if cfg.addr != "" {
+		backend = cfg.addr
+		res, err = runRemote(ctx, cfg.addr, cfg.spec, cfg.verbose)
 	} else {
-		res, err = runLocal(ctx, spec, *verbose)
+		res, err = runLocal(ctx, cfg.spec, cfg.verbose)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "puf-campaign:", err)
@@ -119,7 +102,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	if *jsonOut {
+	if cfg.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -131,6 +114,37 @@ func main() {
 	fmt.Printf("campaign %s: %d seeds (base %d), %d workers, backend=%s, %s\n",
 		res.Task, res.Seeds, res.BaseSeed, res.Workers, backend, elapsed.Round(time.Millisecond))
 	printAggregates(res.Aggregates)
+}
+
+// parseArgs parses and validates the command line. Unless -list is set
+// the spec goes through campaignd.Spec.Validate — the gate the daemon
+// applies — so local and client mode accept exactly the same specs, and
+// a bad one fails before any pool or network work.
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("puf-campaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.spec.Task, "task", "", "registered task name (see -list)")
+	fs.BoolVar(&c.list, "list", false, "list registered tasks and exit")
+	fs.IntVar(&c.spec.Seeds, "seeds", 16, "number of derived seeds (task instances)")
+	fs.Uint64Var(&c.spec.BaseSeed, "base", 1, "campaign base seed")
+	fs.IntVar(&c.spec.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "campaign wall-time limit (0 = none)")
+	fs.StringVar(&c.addr, "addr", "", "campaignd base URL (e.g. http://localhost:8787); empty = run locally")
+	fs.IntVar(&c.spec.ShardSize, "shard-size", 0, "seeds per checkpointed shard in client mode (0 = daemon default)")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit the full result as JSON")
+	fs.BoolVar(&c.verbose, "v", false, "print per-seed outcomes (local) or shard progress (client) as they complete")
+	if err := fs.Parse(args); err != nil || c.list {
+		return c, err
+	}
+	err := c.spec.Validate()
+	if err == nil && c.timeout < 0 {
+		err = fmt.Errorf("-timeout %v: want >= 0", c.timeout)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "puf-campaign:", err)
+	}
+	return c, err
 }
 
 // runLocal executes the campaign in-process. With verbose set, per-seed

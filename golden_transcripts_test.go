@@ -14,8 +14,8 @@ package repro
 //
 //	go test -run TestGoldenTranscripts -update
 //
-// (CI regenerates via `puf-bench -golden testdata/transcripts` and fails
-// on `git diff` — goldens can never silently drift from the harness.)
+// Without -update the test fails on drift, on a missing golden and on a
+// stale extra file, so goldens can never silently drift from the harness.
 
 import (
 	"bytes"

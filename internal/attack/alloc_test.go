@@ -27,8 +27,7 @@ import (
 //   - Whole-run ceilings: enroll + Run on a fixed seed allocates a
 //     deterministic amount; the budgets below sit ~40% above measured
 //     values and far under the pre-scratch counts (5-15x higher), so a
-//     scratch-path regression trips long before it shows up in
-//     BENCH_attacks.json.
+//     scratch-path regression trips here, exactly, on any host.
 
 func maskingDevice(t testing.TB, seed uint64) *device.DistillerPairDevice {
 	t.Helper()
@@ -110,26 +109,31 @@ func runAllocs(t *testing.T, f func() Target, name string) float64 {
 	})
 }
 
-func TestRunAllocationCeilingGroupBased(t *testing.T) {
-	got := runAllocs(t, func() Target { return NewGroupBasedTarget(groupBasedDevice(t, 9)) }, "groupbased")
-	// Pre-scratch: ~13,000 allocs per run. Measured now: ~2,300.
-	if got > 3300 {
-		t.Fatalf("groupbased enroll+run allocates %.0f, ceiling 3300", got)
+// TestRunAllocationCeiling pins enroll + Run allocations for every
+// registered attack on one fixed seed each.
+func TestRunAllocationCeiling(t *testing.T) {
+	cases := []struct {
+		attack  string
+		target  func() Target
+		ceiling float64
+	}{
+		// Measured now: ~670.
+		{"seqpair", func() Target { return NewSeqPairTarget(seqPairDevice(t, 5)) }, 950},
+		// Measured now: ~850.
+		{"tempco", func() Target { return NewTempCoTarget(tempcoDevice(t, 7)) }, 1200},
+		// Pre-scratch: ~13,000 allocs per run. Measured now: ~2,300.
+		{"groupbased", func() Target { return NewGroupBasedTarget(groupBasedDevice(t, 9)) }, 3300},
+		// Pre-scratch: ~1,850 allocs per run. Measured now: ~550.
+		{"masking", func() Target { return NewDistillerTarget(maskingDevice(t, 11)) }, 800},
+		// Pre-scratch: ~6,000 allocs per run. Measured now: ~950.
+		{"chain", func() Target { return NewDistillerTarget(chainDevice(t, 13)) }, 1400},
 	}
-}
-
-func TestRunAllocationCeilingMasking(t *testing.T) {
-	got := runAllocs(t, func() Target { return NewDistillerTarget(maskingDevice(t, 11)) }, "masking")
-	// Pre-scratch: ~1,850 allocs per run. Measured now: ~550.
-	if got > 800 {
-		t.Fatalf("masking enroll+run allocates %.0f, ceiling 800", got)
-	}
-}
-
-func TestRunAllocationCeilingChain(t *testing.T) {
-	got := runAllocs(t, func() Target { return NewDistillerTarget(chainDevice(t, 13)) }, "chain")
-	// Pre-scratch: ~6,000 allocs per run. Measured now: ~950.
-	if got > 1400 {
-		t.Fatalf("chain enroll+run allocates %.0f, ceiling 1400", got)
+	for _, c := range cases {
+		t.Run(c.attack, func(t *testing.T) {
+			got := runAllocs(t, c.target, c.attack)
+			if got > c.ceiling {
+				t.Fatalf("%s enroll+run allocates %.0f, ceiling %.0f", c.attack, got, c.ceiling)
+			}
+		})
 	}
 }

@@ -116,17 +116,11 @@ func (d Distinguisher) normalized() Distinguisher {
 	return d
 }
 
-// Best returns the index of the arm with the lowest failure rate and the
-// total number of queries spent. An empty arm set returns (-1, 0);
-// callers treat that as ErrNoArms.
-func (d Distinguisher) Best(arms []Arm) (best, queries int) {
-	best, queries, _ = d.BestContext(context.Background(), arms, nil)
-	return best, queries
-}
-
-// BestContext is Best with cooperative cancellation and query metering:
-// ctx is checked and the budget is charged before every oracle query.
-// On cancellation or exhaustion it returns (-1, queries so far, err).
+// BestContext returns the index of the arm with the lowest failure rate
+// and the total number of queries spent. An empty arm set returns
+// (-1, 0, nil); callers treat that as ErrNoArms. ctx is checked and the
+// budget b (nil = unmetered) is charged before every oracle query; on
+// cancellation or exhaustion it returns (-1, queries so far, err).
 func (d Distinguisher) BestContext(ctx context.Context, arms []Arm, b *Budget) (best, queries int, err error) {
 	if len(arms) == 0 {
 		return -1, 0, nil

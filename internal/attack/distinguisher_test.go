@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rng"
@@ -11,6 +12,17 @@ func bernoulliArm(r *rng.Source, p float64) Arm {
 	return func() bool { return r.Float64() < p }
 }
 
+// pickBest runs an unmetered, uncancellable BestContext, which never
+// errs.
+func pickBest(t *testing.T, d Distinguisher, arms []Arm) (best, queries int) {
+	t.Helper()
+	best, queries, err := d.BestContext(context.Background(), arms, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best, queries
+}
+
 func TestBestFixedSample(t *testing.T) {
 	r := rng.New(1)
 	d := Distinguisher{Strategy: FixedSample, Queries: 60}
@@ -18,7 +30,7 @@ func TestBestFixedSample(t *testing.T) {
 	const trials = 100
 	for trial := 0; trial < trials; trial++ {
 		arms := []Arm{bernoulliArm(r, 0.9), bernoulliArm(r, 0.1), bernoulliArm(r, 0.9)}
-		best, q := d.Best(arms)
+		best, q := pickBest(t, d, arms)
 		if q != 3*60 {
 			t.Fatalf("queries %d", q)
 		}
@@ -38,7 +50,7 @@ func TestBestSequential(t *testing.T) {
 	const trials = 100
 	for trial := 0; trial < trials; trial++ {
 		arms := []Arm{bernoulliArm(r, 0.9), bernoulliArm(r, 0.1)}
-		best, q := d.Best(arms)
+		best, q := pickBest(t, d, arms)
 		totalQ += q
 		if best == 1 {
 			correct++
@@ -60,7 +72,7 @@ func TestBestSequentialFallsBack(t *testing.T) {
 	r := rng.New(3)
 	d := Distinguisher{Strategy: Sequential, Queries: 10, P0: 0.02, P1: 0.5, Alpha: 0.01, Beta: 0.01, MaxQueries: 50}
 	arms := []Arm{bernoulliArm(r, 0.95), bernoulliArm(r, 0.95)}
-	best, q := d.Best(arms)
+	best, q := pickBest(t, d, arms)
 	if best != 0 && best != 1 {
 		t.Fatalf("best = %d", best)
 	}
@@ -71,14 +83,14 @@ func TestBestSequentialFallsBack(t *testing.T) {
 
 func TestBestSingleArm(t *testing.T) {
 	d := DefaultDistinguisher()
-	best, q := d.Best([]Arm{func() bool { return false }})
+	best, q := pickBest(t, d, []Arm{func() bool { return false }})
 	if best != 0 || q != 0 {
 		t.Fatalf("single arm: best=%d q=%d", best, q)
 	}
 }
 
 func TestBestEmptyArmSet(t *testing.T) {
-	best, q := DefaultDistinguisher().Best(nil)
+	best, q := pickBest(t, DefaultDistinguisher(), nil)
 	if best != -1 || q != 0 {
 		t.Fatalf("empty arm set: best=%d q=%d, want (-1, 0)", best, q)
 	}

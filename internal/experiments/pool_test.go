@@ -68,3 +68,20 @@ func TestFleetSweepTaskWorkerInvariance(t *testing.T) {
 		t.Fatalf("fleet-sweep reports no process variation: %+v", m)
 	}
 }
+
+// TestCampaignAllocationCeiling pins the allocations of one pooled
+// seqpair-attack campaign. Workers=1 makes the count exact: one worker
+// pool, warmed by the first seed and reused by the other fifteen.
+func TestCampaignAllocationCeiling(t *testing.T) {
+	ctx := context.Background()
+	spec := campaign.Spec{Task: "seqpair-attack", BaseSeed: 1, Seeds: 16, Workers: 1}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := campaign.Run(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured now: ~9,200.
+	if got > 12800 {
+		t.Fatalf("seqpair-attack campaign (16 seeds) allocates %.0f, ceiling 12800", got)
+	}
+}

@@ -189,8 +189,8 @@ func TestRemanufacturedMatchesNewArray(t *testing.T) {
 	}
 }
 
-// fleetBenchDevices matches the puf-bench fleet mode so the CI smoke
-// and the committed artifact exercise the same shape.
+// fleetBenchDevices is the fleet size of the CI fleet-bench smoke and of
+// the README's fleet-vs-per-device comparison.
 const fleetBenchDevices = 256
 
 // BenchmarkFleetSweep measures the steady-state batched path: one full

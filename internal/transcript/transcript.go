@@ -9,10 +9,10 @@
 // Transcripts are the unit of golden testing: the committed files under
 // testdata/transcripts/ each hold the []Transcript of one
 // (attack × noise model) cell group, regenerated by exactly one entry
-// point (`go test -run TestGoldenTranscripts -update` at the repo root,
-// or `puf-bench -golden testdata/transcripts` for CI). Everything a
-// transcript records is a pure function of its Spec, so a golden drift
-// always means observable behavior changed — never "just speed".
+// point (`go test -run TestGoldenTranscripts -update` at the repo root).
+// Everything a transcript records is a pure function of its Spec, so a
+// golden drift always means observable behavior changed — never "just
+// speed".
 package transcript
 
 import (
@@ -430,9 +430,8 @@ func RunAll(ctx context.Context, specs []Spec) ([]Transcript, error) {
 }
 
 // Marshal renders transcripts in the canonical golden-file encoding
-// (indented JSON, trailing newline). Both the -update test flag and
-// `puf-bench -golden` write exactly these bytes, so `git diff` is the
-// staleness oracle.
+// (indented JSON, trailing newline). The -update test flag writes
+// exactly these bytes and the golden test compares against them.
 func Marshal(trs []Transcript) ([]byte, error) {
 	data, err := json.MarshalIndent(trs, "", "  ")
 	if err != nil {
