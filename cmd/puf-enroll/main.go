@@ -9,8 +9,10 @@ package main
 
 import (
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/ecc"
@@ -22,27 +24,52 @@ import (
 	"repro/internal/tempco"
 )
 
-func main() {
-	construction := flag.String("construction", "groupbased", "construction: seqpair, tempco, groupbased")
-	seed := flag.Uint64("seed", 1, "manufacturing seed")
-	dumpHex := flag.Bool("hex", false, "dump helper NVM bytes as hex")
-	flag.Parse()
+// constructions maps each -construction value to its enrollment.
+var constructions = map[string]func(seed uint64, dumpHex bool) error{
+	"seqpair":    enrollSeqPair,
+	"tempco":     enrollTempCo,
+	"groupbased": enrollGroupBased,
+}
 
-	var err error
-	switch *construction {
-	case "seqpair":
-		err = enrollSeqPair(*seed, *dumpHex)
-	case "tempco":
-		err = enrollTempCo(*seed, *dumpHex)
-	case "groupbased":
-		err = enrollGroupBased(*seed, *dumpHex)
-	default:
-		err = fmt.Errorf("unknown construction %q", *construction)
+// config is one parsed, validated invocation.
+type config struct {
+	construction string
+	seed         uint64
+	dumpHex      bool
+}
+
+func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
 	if err != nil {
+		os.Exit(2)
+	}
+	if err := constructions[cfg.construction](cfg.seed, cfg.dumpHex); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// parseArgs parses and validates the command line, printing any error
+// to stderr; the caller exits 2 on a non-nil error (0 for -h).
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("puf-enroll", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.construction, "construction", "groupbased", "construction: seqpair, tempco, groupbased")
+	fs.Uint64Var(&c.seed, "seed", 1, "manufacturing seed")
+	fs.BoolVar(&c.dumpHex, "hex", false, "dump helper NVM bytes as hex")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if _, ok := constructions[c.construction]; !ok {
+		err := fmt.Errorf("-construction %q: want seqpair, tempco or groupbased", c.construction)
+		fmt.Fprintln(stderr, "puf-enroll:", err)
+		return c, err
+	}
+	return c, nil
 }
 
 func enrollSeqPair(seed uint64, dumpHex bool) error {

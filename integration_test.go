@@ -85,7 +85,7 @@ func TestTempCoHelperSurvivesNVMImage(t *testing.T) {
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps: 25,
 	}
-	d, err := device.EnrollTempCo(p, rng.New(321), rng.New(322))
+	d, err := device.EnrollTempCoReuse(nil, p, rng.New(321), rng.New(322))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGroupBasedAttackLargerArray(t *testing.T) {
 
 func attackGroupArray(t *testing.T, rows, cols int, seed uint64) (bool, error) {
 	t.Helper()
-	d, err := device.EnrollGroupBased(groupParams(rows, cols), rng.New(seed), rng.New(seed+1))
+	d, err := device.EnrollGroupBasedReuse(nil, groupParams(rows, cols), rng.New(seed), rng.New(seed+1))
 	if err != nil {
 		return false, err
 	}

@@ -31,7 +31,7 @@ import (
 
 func maskingDevice(t testing.TB, seed uint64) *device.DistillerPairDevice {
 	t.Helper()
-	d, err := device.EnrollDistillerPair(device.DistillerPairParams{
+	d, err := device.EnrollDistillerPairReuse(nil, device.DistillerPairParams{
 		Rows: 4, Cols: 10,
 		Degree: 2, Mode: device.MaskedChain, K: 5,
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -31,7 +32,7 @@ func seqPairDevice(t testing.TB, seed uint64) *device.SeqPairDevice {
 
 func groupBasedDevice(t testing.TB, seed uint64) *device.GroupBasedDevice {
 	t.Helper()
-	d, err := device.EnrollGroupBased(groupbased.Params{
+	d, err := device.EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 4, Cols: 10,
 		Degree:       2,
 		ThresholdMHz: 0.5,
@@ -47,7 +48,7 @@ func groupBasedDevice(t testing.TB, seed uint64) *device.GroupBasedDevice {
 
 func chainDevice(t testing.TB, seed uint64) *device.DistillerPairDevice {
 	t.Helper()
-	d, err := device.EnrollDistillerPair(device.DistillerPairParams{
+	d, err := device.EnrollDistillerPairReuse(nil, device.DistillerPairParams{
 		Rows: 4, Cols: 10,
 		Degree: 2, Mode: device.OverlappingChain,
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
@@ -149,17 +150,44 @@ func TestRunReportsPhases(t *testing.T) {
 	}
 }
 
+// TestQueryBudgetEnforced runs seqpair seed 9 under a budget that runs
+// out during calibration and one that outlasts calibration's 48 queries
+// and so runs out inside a relation decision's hypothesis test, on the
+// serial target and on the batched backend.
 func TestQueryBudgetEnforced(t *testing.T) {
-	d := seqPairDevice(t, 9)
-	rep, err := Run(context.Background(), "seqpair", NewSeqPairTarget(d), Options{
-		Dist:        DefaultDistinguisher(),
-		QueryBudget: 30, // enough for neither calibration round
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v (report %+v), want budget exhaustion", err, rep)
+	cases := []struct {
+		name            string
+		budget, workers int
+		inTest          bool // exhausted inside a hypothesis test
+	}{
+		{"calibration/serial", 30, 0, false},
+		{"calibration/batched", 30, 2, false},
+		{"relation/serial", 120, 0, true},
+		{"relation/batched", 120, 2, true},
 	}
-	if q := d.Queries(); q > 30 {
-		t.Fatalf("budget of 30 overshot: %d queries spent", q)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tgt := NewSeqPairTarget(seqPairDevice(t, 9))
+			if c.workers > 0 {
+				var err error
+				if tgt, err = NewBatchTarget(tgt, c.workers, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := Run(context.Background(), "seqpair", tgt, Options{
+				Dist:        DefaultDistinguisher(),
+				QueryBudget: c.budget,
+			})
+			if !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("err = %v (report %+v), want budget exhaustion", err, rep)
+			}
+			if got := strings.HasPrefix(err.Error(), "attack: pair "); got != c.inTest {
+				t.Fatalf("err = %v: exhausted in a relation decision = %v, want %v", err, got, c.inTest)
+			}
+			if q := tgt.Queries(); q > c.budget {
+				t.Fatalf("budget of %d overshot: %d queries spent", c.budget, q)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/helperdata"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // BatchTarget is the batched concurrent oracle backend: it wraps a
@@ -76,96 +75,50 @@ func (bt *BatchTarget) BindKey(key bitvec.Vector) {
 	}
 }
 
-// armResult is one concurrently evaluated arm's outcome.
-type armResult struct {
-	accepted bool // Sequential: SPRT accepted H0
-	fails    int  // FixedSample (and fallback): failure count
-	n        int  // queries spent
-	err      error
-}
-
-// bestBatched evaluates the arms of one test concurrently. See the
+// bestBatched is BestHypotheses' batched arm schedule: every arm runs
+// the kernel to its own decision on a private fork, with no cross-arm
+// early exit, and the lowest-indexed accepted arm wins. See the
 // BatchTarget doc comment for the determinism argument. A budget that
 // runs out mid-test aborts the attack (ErrBudgetExhausted), so the
 // nondeterministic interleaving of a *failing* run never leaks into a
 // completed result.
-func (d Distinguisher) bestBatched(ctx context.Context, bt *BatchTarget, hyps []Hypothesis, b *Budget) (int, int, error) {
-	d = d.normalized()
+func (d Distinguisher) bestBatched(ctx context.Context, bt *BatchTarget, hyps []Hypothesis, b *Budget) (int, error) {
 	testSeed := rng.StreamSeed(bt.seed, bt.test.Add(1)-1)
-
+	armOffset := 0
 	if d.Strategy == Sequential {
-		res := bt.evalArms(ctx, testSeed, 0, hyps, b, d.sprtArm)
-		total := 0
 		best := -1
-		for i, r := range res {
-			total += r.n
+		for i, r := range bt.evalArms(ctx, testSeed, 0, hyps, b, d.sprt) {
 			if r.err != nil {
-				return -1, total, r.err
+				return -1, r.err
 			}
 			if r.accepted && best == -1 {
 				best = i
 			}
 		}
 		if best >= 0 {
-			return best, total, nil
+			return best, nil
 		}
 		// No arm accepted at the nominal rate: fixed-sample fallback on
 		// fresh forks (arm seeds offset past the SPRT round's).
-		fb, extra, err := d.fixedBatched(ctx, bt, testSeed, len(hyps), hyps, b)
-		return fb, total + extra, err
+		armOffset = len(hyps)
 	}
-	return d.fixedBatched(ctx, bt, testSeed, 0, hyps, b)
-}
-
-func (d Distinguisher) fixedBatched(ctx context.Context, bt *BatchTarget, testSeed uint64, armOffset int, hyps []Hypothesis, b *Budget) (int, int, error) {
-	res := bt.evalArms(ctx, testSeed, armOffset, hyps, b, d.fixedArm)
-	total := 0
 	best, bestFails := 0, int(^uint(0)>>1)
-	for i, r := range res {
-		total += r.n
+	for i, r := range bt.evalArms(ctx, testSeed, armOffset, hyps, b, d.fixed) {
 		if r.err != nil {
-			return -1, total, r.err
+			return -1, r.err
 		}
 		if r.fails < bestFails {
 			best, bestFails = i, r.fails
 		}
 	}
-	return best, total, nil
-}
-
-// sprtArm runs one arm's SPRT to a decision on its private fork. The
-// test state lives on the arm's own stack.
-func (d Distinguisher) sprtArm(ctx context.Context, arm Arm, b *Budget) armResult {
-	s := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta)
-	decision := stats.SPRTContinue
-	for decision == stats.SPRTContinue && s.N() < d.MaxQueries {
-		if err := queryGate(ctx, b); err != nil {
-			return armResult{n: s.N(), err: err}
-		}
-		decision = s.Observe(arm())
-	}
-	return armResult{accepted: decision == stats.SPRTAcceptH0, n: s.N()}
-}
-
-// fixedArm counts one arm's failures over the fixed per-arm budget.
-func (d Distinguisher) fixedArm(ctx context.Context, arm Arm, b *Budget) armResult {
-	fails := 0
-	for q := 0; q < d.Queries; q++ {
-		if err := queryGate(ctx, b); err != nil {
-			return armResult{fails: fails, n: q, err: err}
-		}
-		if arm() {
-			fails++
-		}
-	}
-	return armResult{fails: fails, n: d.Queries}
+	return best, nil
 }
 
 // evalArms forks one oracle per arm and evaluates all arms on the
 // bounded worker pool. Arm i's fork is seeded by StreamSeed(testSeed,
 // armOffset+i), so the full result slice is a pure function of the
 // inputs regardless of pool size or scheduling.
-func (bt *BatchTarget) evalArms(ctx context.Context, testSeed uint64, armOffset int, hyps []Hypothesis, b *Budget, eval func(context.Context, Arm, *Budget) armResult) []armResult {
+func (bt *BatchTarget) evalArms(ctx context.Context, testSeed uint64, armOffset int, hyps []Hypothesis, b *Budget, eval func(context.Context, Target, Hypothesis, *Budget) armResult) []armResult {
 	res := make([]armResult, len(hyps))
 	sem := make(chan struct{}, bt.workers)
 	var wg sync.WaitGroup
@@ -180,7 +133,7 @@ func (bt *BatchTarget) evalArms(ctx context.Context, testSeed uint64, armOffset 
 				res[i] = armResult{err: err}
 				return
 			}
-			res[i] = eval(ctx, bindArm(fork, h), b)
+			res[i] = eval(ctx, fork, h, b)
 			bt.extra.Add(int64(res[i].n))
 		}(i, h)
 	}

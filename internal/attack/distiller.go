@@ -238,12 +238,9 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 	if err != nil {
 		return false, err
 	}
-	best, _, err := opts.Dist.BestHypotheses(ctx, t, []Hypothesis{arm0, arm1}, budget)
+	best, err := opts.Dist.BestHypotheses(ctx, t, []Hypothesis{arm0, arm1}, budget)
 	if err != nil {
 		return false, err
-	}
-	if best < 0 {
-		return false, ErrNoArms
 	}
 	return best == 1, nil
 }
@@ -401,12 +398,9 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 			arms = append(arms, bindingHypothesis(im, predKey))
 		}
 		sc.arms = arms
-		best, _, err := opts.Dist.BestHypotheses(ctx, t, arms, budget)
+		best, err := opts.Dist.BestHypotheses(ctx, t, arms, budget)
 		if err != nil {
 			return Report{}, err
-		}
-		if best < 0 {
-			return Report{}, ErrNoArms
 		}
 		for p, idx := range unknownIdx {
 			known[idx] = best>>uint(p)&1 == 1

@@ -16,13 +16,15 @@ import (
 // oracle-agnostic Target surface.
 
 // ErrNoArms reports a hypothesis test over an empty arm set — a malformed
-// attack configuration rather than a statistical outcome. Attacks return
-// it (wrapped) instead of crashing a long-running campaign.
+// attack configuration rather than a statistical outcome. BestHypotheses
+// returns it, and attacks pass it on (wrapped) instead of crashing a
+// long-running campaign.
 var ErrNoArms = errors.New("attack: no hypothesis arms to distinguish")
 
-// Arm is one hypothesis under test: a closure that installs the
-// hypothesis's helper manipulation, then performs one oracle query and
-// reports FAILURE (true = the key-dependent application misbehaved).
+// Arm is one observation for EstimateFailureRate: a closure that
+// performs one oracle query (after installing whatever manipulation it
+// measures) and reports FAILURE (true = the key-dependent application
+// misbehaved).
 type Arm func() bool
 
 // Hypothesis is one arm of a test expressed target-generically: Install
@@ -116,98 +118,64 @@ func (d Distinguisher) normalized() Distinguisher {
 	return d
 }
 
-// BestContext returns the index of the arm with the lowest failure rate
-// and the total number of queries spent. An empty arm set returns
-// (-1, 0, nil); callers treat that as ErrNoArms. ctx is checked and the
-// budget b (nil = unmetered) is charged before every oracle query; on
-// cancellation or exhaustion it returns (-1, queries so far, err).
-func (d Distinguisher) BestContext(ctx context.Context, arms []Arm, b *Budget) (best, queries int, err error) {
-	if len(arms) == 0 {
-		return -1, 0, nil
+// BestHypotheses returns the index of the hypothesis whose failure rate
+// stays nominal. An empty set returns (-1, ErrNoArms); a single arm wins
+// without a query. Both backends run the same per-arm kernels (sprt,
+// fixed) and differ only in the arm schedule: on a serial target each
+// arm is tested in place in order and the first arm the SPRT accepts
+// wins; on a BatchTarget every arm runs to its own decision on a private
+// fork (see bestBatched). With no SPRT acceptance, or under FixedSample,
+// the arm with the fewest failures over d.Queries wins. ctx is checked
+// and the budget b (nil = unmetered) is charged before every oracle
+// query; on cancellation or exhaustion it returns (-1, err). Attacks
+// read the cost from Target.Queries.
+func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypothesis, b *Budget) (int, error) {
+	switch len(hyps) {
+	case 0:
+		return -1, ErrNoArms
+	case 1:
+		return 0, nil
 	}
 	d = d.normalized()
-	if len(arms) == 1 {
-		return 0, 0, nil
+	if bt, ok := t.(*BatchTarget); ok {
+		return d.bestBatched(ctx, bt, hyps, b)
 	}
 	if d.Strategy == Sequential {
-		total := 0
-		for i, arm := range arms {
-			r := d.sprtArm(ctx, arm, b)
-			total += r.n
+		for i, h := range hyps {
+			r := d.sprt(ctx, t, h, b)
 			if r.err != nil {
-				return -1, total, r.err
+				return -1, r.err
 			}
 			if r.accepted {
-				return i, total, nil
+				return i, nil
 			}
 		}
 		// No arm accepted at the nominal rate: fall back.
-		best, extra, err := d.fixedBest(ctx, arms, b)
-		return best, total + extra, err
 	}
-	return d.fixedBest(ctx, arms, b)
-}
-
-// fixedBest is the serial fixed-sample pass; the per-arm loop is the
-// same fixedArm the batched backend runs on forks, so serial and
-// batched paths cannot drift apart semantically.
-func (d Distinguisher) fixedBest(ctx context.Context, arms []Arm, b *Budget) (int, int, error) {
 	best, bestFails := 0, int(^uint(0)>>1)
-	total := 0
-	for i, arm := range arms {
-		r := d.fixedArm(ctx, arm, b)
-		total += r.n
+	for i, h := range hyps {
+		r := d.fixed(ctx, t, h, b)
 		if r.err != nil {
-			return -1, total, r.err
+			return -1, r.err
 		}
 		if r.fails < bestFails {
 			best, bestFails = i, r.fails
 		}
 	}
-	return best, total, nil
+	return best, nil
 }
 
-// BestHypotheses evaluates target-generic arms. Against a BatchTarget it
-// pipelines the arms concurrently over forked oracles (bit-identical at
-// any worker count); against any other target it runs the exact serial
-// transcript of BestContext, installing each hypothesis before every
-// query, so in-process results match the legacy closure-based path. The
-// serial path evaluates hypotheses directly rather than binding them
-// into Arm closures: attacks run one call per recovered key bit, so the
-// per-decision closure churn matters.
-func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypothesis, b *Budget) (best, queries int, err error) {
-	if bt, ok := t.(*BatchTarget); ok && len(hyps) > 1 {
-		return d.bestBatched(ctx, bt, hyps, b)
-	}
-	if len(hyps) == 0 {
-		return -1, 0, nil
-	}
-	d = d.normalized()
-	if len(hyps) == 1 {
-		return 0, 0, nil
-	}
-	if d.Strategy == Sequential {
-		total := 0
-		for i := range hyps {
-			r := d.sprtHyp(ctx, t, hyps[i], b)
-			total += r.n
-			if r.err != nil {
-				return -1, total, r.err
-			}
-			if r.accepted {
-				return i, total, nil
-			}
-		}
-		// No arm accepted at the nominal rate: fall back.
-		best, extra, err := d.fixedBestHyp(ctx, t, hyps, b)
-		return best, total + extra, err
-	}
-	return d.fixedBestHyp(ctx, t, hyps, b)
+// armResult is one arm's outcome under a kernel.
+type armResult struct {
+	accepted bool // sprt: the test accepted H0 (nominal rate)
+	fails    int  // fixed: failure count
+	n        int  // queries spent
+	err      error
 }
 
 // observe installs a hypothesis and performs one oracle query. An
-// install failure counts as an observed failure, matching bindArm (a
-// helper the device rejects can never look nominal).
+// install failure counts as an observed failure (a helper the device
+// rejects can never look nominal).
 func observe(t Target, h Hypothesis) bool {
 	if err := h(t); err != nil {
 		return true
@@ -215,9 +183,9 @@ func observe(t Target, h Hypothesis) bool {
 	return t.Query()
 }
 
-// sprtHyp is sprtArm evaluating a hypothesis in place, without an Arm
-// closure.
-func (d Distinguisher) sprtHyp(ctx context.Context, t Target, h Hypothesis, b *Budget) armResult {
+// sprt runs Wald's SPRT on one arm against t until it decides or spends
+// d.MaxQueries, installing the hypothesis before every query.
+func (d Distinguisher) sprt(ctx context.Context, t Target, h Hypothesis, b *Budget) armResult {
 	s := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta)
 	decision := stats.SPRTContinue
 	for decision == stats.SPRTContinue && s.N() < d.MaxQueries {
@@ -229,38 +197,18 @@ func (d Distinguisher) sprtHyp(ctx context.Context, t Target, h Hypothesis, b *B
 	return armResult{accepted: decision == stats.SPRTAcceptH0, n: s.N()}
 }
 
-// fixedBestHyp is fixedBest evaluating hypotheses in place.
-func (d Distinguisher) fixedBestHyp(ctx context.Context, t Target, hyps []Hypothesis, b *Budget) (int, int, error) {
-	best, bestFails := 0, int(^uint(0)>>1)
-	total := 0
-	for i := range hyps {
-		fails := 0
-		for q := 0; q < d.Queries; q++ {
-			if err := queryGate(ctx, b); err != nil {
-				return -1, total + q, err
-			}
-			if observe(t, hyps[i]) {
-				fails++
-			}
+// fixed counts one arm's failures against t over d.Queries queries.
+func (d Distinguisher) fixed(ctx context.Context, t Target, h Hypothesis, b *Budget) armResult {
+	fails := 0
+	for q := 0; q < d.Queries; q++ {
+		if err := queryGate(ctx, b); err != nil {
+			return armResult{fails: fails, n: q, err: err}
 		}
-		total += d.Queries
-		if fails < bestFails {
-			best, bestFails = i, fails
+		if observe(t, h) {
+			fails++
 		}
 	}
-	return best, total, nil
-}
-
-// bindArm fixes a hypothesis to a concrete oracle. An install failure
-// counts as an observed failure, matching the legacy attacks' behavior
-// (a helper the device rejects can never look nominal).
-func bindArm(t Target, h Hypothesis) Arm {
-	return func() bool {
-		if err := h(t); err != nil {
-			return true
-		}
-		return t.Query()
-	}
+	return armResult{fails: fails, n: d.Queries}
 }
 
 // queryGate enforces cancellation and budget before one oracle query.
@@ -313,4 +261,25 @@ func (c Calibration) Apply(d Distinguisher) Distinguisher {
 	d.P0 = c.PNominal
 	d.P1 = c.PElevated
 	return d.normalized()
+}
+
+// calibrate installs the nominal injection and estimates its failure
+// rate over n queries, then does the same for the elevated injection,
+// and returns the calibration with the distinguisher tuned to it. Each
+// injection is installed once, before its n queries.
+func calibrate(ctx context.Context, t Target, nominal, elevated Hypothesis, n int, b *Budget, dist Distinguisher) (Calibration, Distinguisher, error) {
+	queryArm := Arm(t.Query)
+	var rates [2]float64
+	for i, h := range [2]Hypothesis{nominal, elevated} {
+		if err := h(t); err != nil {
+			return Calibration{}, Distinguisher{}, err
+		}
+		p, err := estimateRate(ctx, queryArm, n, b)
+		if err != nil {
+			return Calibration{}, Distinguisher{}, err
+		}
+		rates[i] = p
+	}
+	cal := Calibration{PNominal: rates[0], PElevated: rates[1], Queries: 2 * n}
+	return cal, cal.Apply(dist), nil
 }

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/rng"
@@ -12,87 +13,129 @@ func bernoulliArm(r *rng.Source, p float64) Arm {
 	return func() bool { return r.Float64() < p }
 }
 
-// pickBest runs an unmetered, uncancellable BestContext, which never
-// errs.
-func pickBest(t *testing.T, d Distinguisher, arms []Arm) (best, queries int) {
+// coinTarget is a fake oracle: Query fails with the probability the
+// last installed hypothesis set, and forks draw from their own stream.
+type coinTarget struct {
+	Target
+	r       *rng.Source
+	p       float64
+	queries int
+}
+
+func (c *coinTarget) Query() bool {
+	c.queries++
+	return c.r.Float64() < c.p
+}
+
+func (c *coinTarget) Queries() int { return c.queries }
+
+func (c *coinTarget) Fork(seed uint64) (Target, error) { return &coinTarget{r: rng.New(seed)}, nil }
+
+// coin is the hypothesis whose arm fails with probability p.
+func coin(p float64) Hypothesis {
+	return func(t Target) error {
+		t.(*coinTarget).p = p
+		return nil
+	}
+}
+
+// backends returns the serial fake oracle seeded with seed and the same
+// oracle behind a two-worker BatchTarget.
+func backends(t *testing.T, seed uint64) map[string]Target {
 	t.Helper()
-	best, queries, err := d.BestContext(context.Background(), arms, nil)
+	bt, err := NewBatchTarget(&coinTarget{r: rng.New(seed)}, 2, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return best, queries
+	return map[string]Target{"serial": &coinTarget{r: rng.New(seed)}, "batched": bt}
+}
+
+// pickBest runs an unmetered, uncancellable BestHypotheses, which never
+// errs on a non-empty set, and returns the winner and the queries spent.
+func pickBest(t *testing.T, d Distinguisher, tgt Target, hyps []Hypothesis) (best, queries int) {
+	t.Helper()
+	before := tgt.Queries()
+	best, err := d.BestHypotheses(context.Background(), tgt, hyps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best, tgt.Queries() - before
 }
 
 func TestBestFixedSample(t *testing.T) {
-	r := rng.New(1)
-	d := Distinguisher{Strategy: FixedSample, Queries: 60}
-	correct := 0
-	const trials = 100
-	for trial := 0; trial < trials; trial++ {
-		arms := []Arm{bernoulliArm(r, 0.9), bernoulliArm(r, 0.1), bernoulliArm(r, 0.9)}
-		best, q := pickBest(t, d, arms)
-		if q != 3*60 {
-			t.Fatalf("queries %d", q)
+	for name, tgt := range backends(t, 1) {
+		d := Distinguisher{Strategy: FixedSample, Queries: 60}
+		correct := 0
+		const trials = 100
+		for trial := 0; trial < trials; trial++ {
+			best, q := pickBest(t, d, tgt, []Hypothesis{coin(0.9), coin(0.1), coin(0.9)})
+			if q != 3*60 {
+				t.Fatalf("%s: queries %d", name, q)
+			}
+			if best == 1 {
+				correct++
+			}
 		}
-		if best == 1 {
-			correct++
+		if correct < 97 {
+			t.Fatalf("%s: fixed-sample picked the quiet arm %d/%d", name, correct, trials)
 		}
-	}
-	if correct < 97 {
-		t.Fatalf("fixed-sample picked the quiet arm %d/%d", correct, trials)
 	}
 }
 
 func TestBestSequential(t *testing.T) {
-	r := rng.New(2)
-	d := Distinguisher{Strategy: Sequential, Queries: 40, P0: 0.1, P1: 0.9, Alpha: 0.01, Beta: 0.01}
-	correct, totalQ := 0, 0
-	const trials = 100
-	for trial := 0; trial < trials; trial++ {
-		arms := []Arm{bernoulliArm(r, 0.9), bernoulliArm(r, 0.1)}
-		best, q := pickBest(t, d, arms)
-		totalQ += q
-		if best == 1 {
-			correct++
+	for name, tgt := range backends(t, 2) {
+		d := Distinguisher{Strategy: Sequential, Queries: 40, P0: 0.1, P1: 0.9, Alpha: 0.01, Beta: 0.01}
+		correct, totalQ := 0, 0
+		const trials = 100
+		for trial := 0; trial < trials; trial++ {
+			best, q := pickBest(t, d, tgt, []Hypothesis{coin(0.9), coin(0.1)})
+			totalQ += q
+			if best == 1 {
+				correct++
+			}
 		}
-	}
-	if correct < 96 {
-		t.Fatalf("sequential picked the quiet arm %d/%d", correct, trials)
-	}
-	// Sequential must be cheaper than fixed-sample at similar power.
-	fixedCost := 2 * 40 * trials
-	if totalQ >= fixedCost {
-		t.Fatalf("sequential cost %d >= fixed cost %d", totalQ, fixedCost)
+		if correct < 96 {
+			t.Fatalf("%s: sequential picked the quiet arm %d/%d", name, correct, trials)
+		}
+		// Sequential must be cheaper than fixed-sample at similar power.
+		fixedCost := 2 * 40 * trials
+		if totalQ >= fixedCost {
+			t.Fatalf("%s: sequential cost %d >= fixed cost %d", name, totalQ, fixedCost)
+		}
 	}
 }
 
 func TestBestSequentialFallsBack(t *testing.T) {
 	// Two arms both failing often: no arm accepted at the nominal rate,
 	// the fallback must still return a decision.
-	r := rng.New(3)
-	d := Distinguisher{Strategy: Sequential, Queries: 10, P0: 0.02, P1: 0.5, Alpha: 0.01, Beta: 0.01, MaxQueries: 50}
-	arms := []Arm{bernoulliArm(r, 0.95), bernoulliArm(r, 0.95)}
-	best, q := pickBest(t, d, arms)
-	if best != 0 && best != 1 {
-		t.Fatalf("best = %d", best)
-	}
-	if q == 0 {
-		t.Fatal("no queries spent")
+	for name, tgt := range backends(t, 3) {
+		d := Distinguisher{Strategy: Sequential, Queries: 10, P0: 0.02, P1: 0.5, Alpha: 0.01, Beta: 0.01, MaxQueries: 50}
+		best, q := pickBest(t, d, tgt, []Hypothesis{coin(0.95), coin(0.95)})
+		if best != 0 && best != 1 {
+			t.Fatalf("%s: best = %d", name, best)
+		}
+		if q == 0 {
+			t.Fatalf("%s: no queries spent", name)
+		}
 	}
 }
 
 func TestBestSingleArm(t *testing.T) {
-	d := DefaultDistinguisher()
-	best, q := pickBest(t, d, []Arm{func() bool { return false }})
-	if best != 0 || q != 0 {
-		t.Fatalf("single arm: best=%d q=%d", best, q)
+	for name, tgt := range backends(t, 4) {
+		best, q := pickBest(t, DefaultDistinguisher(), tgt, []Hypothesis{coin(0)})
+		if best != 0 || q != 0 {
+			t.Fatalf("%s: single arm: best=%d q=%d", name, best, q)
+		}
 	}
 }
 
 func TestBestEmptyArmSet(t *testing.T) {
-	best, q := pickBest(t, DefaultDistinguisher(), nil)
-	if best != -1 || q != 0 {
-		t.Fatalf("empty arm set: best=%d q=%d, want (-1, 0)", best, q)
+	for name, tgt := range backends(t, 5) {
+		best, err := DefaultDistinguisher().BestHypotheses(context.Background(), tgt, nil, nil)
+		if best != -1 || !errors.Is(err, ErrNoArms) || tgt.Queries() != 0 {
+			t.Fatalf("%s: empty arm set: best=%d err=%v q=%d, want (-1, ErrNoArms) and no queries",
+				name, best, err, tgt.Queries())
+		}
 	}
 }
 

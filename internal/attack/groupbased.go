@@ -342,12 +342,9 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 	if err != nil {
 		return false, err
 	}
-	best, _, err := opts.Dist.BestHypotheses(ctx, t, []Hypothesis{arm0, arm1}, budget)
+	best, err := opts.Dist.BestHypotheses(ctx, t, []Hypothesis{arm0, arm1}, budget)
 	if err != nil {
 		return false, err
-	}
-	if best < 0 {
-		return false, ErrNoArms
 	}
 	return best == 1, nil
 }

@@ -162,23 +162,10 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			break
 		}
 	}
-	queryArm := Arm(t.Query)
-	if err := install(calNom, 0, 0)(t); err != nil {
-		return Report{}, err
-	}
-	pNom, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
+	cal, dist, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), opts.CalibrationQueries, budget, opts.Dist)
 	if err != nil {
 		return Report{}, err
 	}
-	if err := install(calElev, 0, 0)(t); err != nil {
-		return Report{}, err
-	}
-	pElev, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
-	if err != nil {
-		return Report{}, err
-	}
-	cal := Calibration{PNominal: pNom, PElevated: pElev, Queries: 2 * opts.CalibrationQueries}
-	dist := cal.Apply(opts.Dist)
 
 	// Relation recovery: for each j, arm A = injections + position swap
 	// of pairs 0 and j, arm B = injections only (H0-like reference).
@@ -196,18 +183,15 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 		swapArm := Hypothesis(func(t Target) error { return t.WriteImage(swapIm) })
 		// Arms ordered so index 0 = "bits equal" (swap is a no-op on
 		// the key, failure stays nominal) — for the swap arm. The
-		// reference arm identifies the nominal level; Best picks the
-		// arm behaving nominally. If the swap arm is nominal, bits are
-		// equal.
-		best, _, err := dist.BestHypotheses(ctx, t, []Hypothesis{
+		// reference arm identifies the nominal level; BestHypotheses
+		// picks the arm behaving nominally. If the swap arm is nominal,
+		// bits are equal.
+		best, err := dist.BestHypotheses(ctx, t, []Hypothesis{
 			swapArm,            // swap arm
 			refInstall(inj, j), // reference arm
 		}, budget)
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: pair %d: %w", j, err)
-		}
-		if best < 0 {
-			return Report{}, fmt.Errorf("attack: pair %d: %w", j, ErrNoArms)
 		}
 		relations[j] = best != 0 // swap arm elevated => bits differ
 		tr.step("relations", j, m-1)

@@ -229,23 +229,13 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 
 	// Calibration: offset and offset+1 rates.
 	tr.phase("calibrate")
-	queryArm := Arm(t.Query)
-	if err := install(requester, refHelper, basePool[:opts.InjectErrors])(t); err != nil {
-		return Report{}, err
-	}
-	pNom, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
+	cal, dist, err := calibrate(ctx, t,
+		install(requester, refHelper, basePool[:opts.InjectErrors]),
+		install(requester, refHelper, basePool[:opts.InjectErrors+1]),
+		opts.CalibrationQueries, budget, opts.Dist)
 	if err != nil {
 		return Report{}, err
 	}
-	if err := install(requester, refHelper, basePool[:opts.InjectErrors+1])(t); err != nil {
-		return Report{}, err
-	}
-	pElev, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
-	if err != nil {
-		return Report{}, err
-	}
-	cal := Calibration{PNominal: pNom, PElevated: pElev, Queries: 2 * opts.CalibrationQueries}
-	dist := cal.Apply(opts.Dist)
 
 	// Relation recovery: rel(x) = [r_x != r_refHelper] for every other
 	// cooperating pair x stable at ambient.
@@ -266,15 +256,12 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 			continue
 		}
 		inj := pool[:opts.InjectErrors]
-		best, _, err := dist.BestHypotheses(ctx, t, []Hypothesis{
+		best, err := dist.BestHypotheses(ctx, t, []Hypothesis{
 			install(requester, x, inj),         // substitution arm
 			install(requester, refHelper, inj), // reference arm
 		}, budget)
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: pair %d: %w", x, err)
-		}
-		if best < 0 {
-			return Report{}, fmt.Errorf("attack: pair %d: %w", x, ErrNoArms)
 		}
 		xorWithRef[x] = best != 0
 		tr.step("relations", n+1, len(coop))
@@ -344,16 +331,12 @@ func (tempCoAttack) secondRequester(
 			continue
 		}
 		inj := pool[:opts.InjectErrors]
-		best, _, err := dist.BestHypotheses(ctx, t, []Hypothesis{
+		best, err := dist.BestHypotheses(ctx, t, []Hypothesis{
 			install(second, requester, inj), // substitution arm
 			install(second, ref2, inj),      // reference arm
 		}, budget)
 		if err != nil {
 			return false, false, err
-		}
-		if best < 0 {
-			// Degenerate arm set: leave the requester's relation unknown.
-			return false, false, nil
 		}
 		// best!=0 => r_requester != r_ref2; translate into the
 		// refHelper frame via rel2 = r_ref2 XOR r_refHelper.

@@ -49,7 +49,7 @@ func TestAppAllocationsSeqPair(t *testing.T) {
 }
 
 func TestAppAllocationsTempCo(t *testing.T) {
-	d, err := EnrollTempCo(tempco.Params{
+	d, err := EnrollTempCoReuse(nil, tempco.Params{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.6,
 		TminC:        -25, TmaxC: 85,
@@ -66,7 +66,7 @@ func TestAppAllocationsTempCo(t *testing.T) {
 }
 
 func TestAppAllocationsGroupBased(t *testing.T) {
-	d, err := EnrollGroupBased(groupbased.Params{
+	d, err := EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 4, Cols: 10,
 		Degree:       2,
 		ThresholdMHz: 0.5,
@@ -94,7 +94,7 @@ func TestAppAllocationsDistillerPair(t *testing.T) {
 		if mode == MaskedChain {
 			p.K = 5
 		}
-		d, err := EnrollDistillerPair(p, rng.New(42), rng.New(43))
+		d, err := EnrollDistillerPairReuse(nil, p, rng.New(42), rng.New(43))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

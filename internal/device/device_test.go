@@ -116,7 +116,7 @@ func TestTempCoDevice(t *testing.T) {
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps: 25,
 	}
-	d, err := EnrollTempCo(p, rng.New(7), rng.New(8))
+	d, err := EnrollTempCoReuse(nil, p, rng.New(7), rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGroupBasedDeviceRebinding(t *testing.T) {
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps:   15,
 	}
-	d, err := EnrollGroupBased(p, rng.New(9), rng.New(10))
+	d, err := EnrollGroupBasedReuse(nil, p, rng.New(9), rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestDistillerPairDeviceModes(t *testing.T) {
 			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 			EnrollReps: 15,
 		}
-		d, err := EnrollDistillerPair(p, rng.New(11), rng.New(12))
+		d, err := EnrollDistillerPairReuse(nil, p, rng.New(11), rng.New(12))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

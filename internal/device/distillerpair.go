@@ -188,15 +188,11 @@ func (d *DistillerPairDevice) refreshScratch() {
 	sc.helperValid = true
 }
 
-// EnrollDistillerPair manufactures and enrolls a device.
-func EnrollDistillerPair(p DistillerPairParams, srcMfg, srcRun *rng.Source) (*DistillerPairDevice, error) {
-	return EnrollDistillerPairReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollDistillerPairReuse is EnrollDistillerPair adopting a previously
-// enrolled device's backing storage (see EnrollSeqPairReuse for the
-// device-pool contract): bit-identical to a fresh enrollment, prev may
-// be nil, and prev must be discarded by the caller — even on error.
+// EnrollDistillerPairReuse manufactures and enrolls a device, adopting a
+// previously enrolled device's backing storage (see EnrollSeqPairReuse
+// for the device-pool contract): bit-identical to a fresh enrollment,
+// prev may be nil (a fresh enrollment), and prev must be discarded by
+// the caller — even on error.
 func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, srcMfg, srcRun *rng.Source) (*DistillerPairDevice, error) {
 	if p.Code == nil || p.EnrollReps < 1 {
 		return nil, fmt.Errorf("device: invalid distiller-pair params")

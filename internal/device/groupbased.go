@@ -41,15 +41,11 @@ type GroupBasedDevice struct {
 	scratch groupbased.Scratch
 }
 
-// EnrollGroupBased manufactures and enrolls a device.
-func EnrollGroupBased(p groupbased.Params, srcMfg, srcRun *rng.Source) (*GroupBasedDevice, error) {
-	return EnrollGroupBasedReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollGroupBasedReuse is EnrollGroupBased adopting a previously
-// enrolled device's backing storage (see EnrollSeqPairReuse for the
-// device-pool contract): bit-identical to a fresh enrollment, prev may
-// be nil, and prev must be discarded by the caller — even on error.
+// EnrollGroupBasedReuse manufactures and enrolls a device, adopting a
+// previously enrolled device's backing storage (see EnrollSeqPairReuse
+// for the device-pool contract): bit-identical to a fresh enrollment,
+// prev may be nil (a fresh enrollment), and prev must be discarded by
+// the caller — even on error.
 func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, srcRun *rng.Source) (*GroupBasedDevice, error) {
 	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 	cfg.Noise = p.Noise

@@ -84,7 +84,7 @@ func TestEnrollReuseMatchesFresh(t *testing.T) {
 			}
 			var pooled *TempCoDevice
 			for _, seeds := range seedPairs {
-				fresh, err := EnrollTempCo(p, rng.New(seeds[0]), rng.New(seeds[1]))
+				fresh, err := EnrollTempCoReuse(nil, p, rng.New(seeds[0]), rng.New(seeds[1]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestEnrollReuseMatchesFresh(t *testing.T) {
 			}
 			var pooled *GroupBasedDevice
 			for _, seeds := range seedPairs {
-				fresh, err := EnrollGroupBased(p, rng.New(seeds[0]), rng.New(seeds[1]))
+				fresh, err := EnrollGroupBasedReuse(nil, p, rng.New(seeds[0]), rng.New(seeds[1]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -155,7 +155,7 @@ func TestEnrollReuseMatchesFresh(t *testing.T) {
 				}
 				var pooled *DistillerPairDevice
 				for _, seeds := range seedPairs {
-					fresh, err := EnrollDistillerPair(p, rng.New(seeds[0]), rng.New(seeds[1]))
+					fresh, err := EnrollDistillerPairReuse(nil, p, rng.New(seeds[0]), rng.New(seeds[1]))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -26,18 +26,14 @@ type TempCoDevice struct {
 	scratch tempco.Scratch
 }
 
-// EnrollTempCo manufactures and enrolls a device. The silicon config gets
-// a widened temperature-slope spread so the cooperating population is
+// EnrollTempCoReuse manufactures and enrolls a device, adopting a
+// previously enrolled device's backing storage (see EnrollSeqPairReuse
+// for the device-pool contract): bit-identical to a fresh enrollment,
+// prev may be nil (a fresh enrollment), and prev must be discarded by
+// the caller — even on error. The silicon config gets a widened
+// temperature-slope spread so the cooperating population is
 // non-trivial, mirroring the operating conditions the HOST 2009 proposal
 // targets.
-func EnrollTempCo(p tempco.Params, srcMfg, srcRun *rng.Source) (*TempCoDevice, error) {
-	return EnrollTempCoReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollTempCoReuse is EnrollTempCo adopting a previously enrolled
-// device's backing storage (see EnrollSeqPairReuse for the device-pool
-// contract): bit-identical to a fresh enrollment, prev may be nil, and
-// prev must be discarded by the caller — even on error.
 func EnrollTempCoReuse(prev *TempCoDevice, p tempco.Params, srcMfg, srcRun *rng.Source) (*TempCoDevice, error) {
 	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 	cfg.TempCoefSigmaMHzPerC = 0.03
