@@ -77,9 +77,6 @@ func (b *base) Environment() silicon.Environment { return b.env }
 
 func (b *base) SetEnvironment(env silicon.Environment) { b.env = env }
 
-// keysEqual compares a reconstructed key against the enrolled reference.
-func keysEqual(a, b bitvec.Vector) bool { return a.Equal(b) }
-
 // copyOffset copies src into the device-owned offset buffer dst in place
 // when the lengths match (the steady state of an attack's arm sweep) and
 // clones otherwise. Safe under aliasing: copying a vector onto itself is
@@ -92,15 +89,47 @@ func copyOffset(dst, src bitvec.Vector) bitvec.Vector {
 	return dst
 }
 
-// setBound copies key into the device-owned bound-key buffer behind buf,
-// reallocating only on length change, and returns the buffer. Key
-// (re)binding happens on every helper write and every BindKey — once per
-// oracle query on the reprogrammed-key attack path — so it must not
-// clone per call.
-func setBound(buf *bitvec.Vector, key bitvec.Vector) bitvec.Vector {
-	if buf.Len() != key.Len() {
-		*buf = bitvec.New(key.Len())
+// keyBinding is the application key of a reprogrammed-key device
+// (groupbased, masking, chain): App reports success only when a
+// reconstruction reproduces the bound key. It starts as the enrolled
+// key, is replaced by whatever a helper write's re-provisioning
+// reconstructs, and the attacker may bind a predicted key directly. A
+// zero-length binding is unusable: every App fails until a working
+// helper is written.
+type keyBinding struct {
+	bound bitvec.Vector
+	// buf is the reusable storage behind bound. (Re)binding happens on
+	// every helper write and every BindKey — once per oracle query on
+	// the reprogrammed-key attack path — so it must not clone per call.
+	buf bitvec.Vector
+}
+
+// BindKey binds the application to a predicted key directly (e.g. by
+// presenting data encrypted under it), the cleanest reading of the
+// paper's reprogrammed-key observable.
+func (k *keyBinding) BindKey(key bitvec.Vector) { k.bindPrefix(key, key.Len()) }
+
+// bindPrefix binds the first n bits of v, copying them into buf.
+func (k *keyBinding) bindPrefix(v bitvec.Vector, n int) {
+	if k.buf.Len() != n {
+		k.buf = bitvec.New(n)
 	}
-	key.CopyInto(*buf)
-	return *buf
+	v.SliceInto(0, n, k.buf)
+	k.bound = k.buf
+}
+
+// reprovision binds the first n bits of a reconstruction's output, or
+// leaves the binding unusable when the reconstruction failed (err).
+func (k *keyBinding) reprovision(v bitvec.Vector, n int, err error) {
+	if err != nil {
+		k.bound = bitvec.Vector{}
+		return
+	}
+	k.bindPrefix(v, n)
+}
+
+// matches reports whether a successful n-bit reconstruction v
+// reproduces the bound key.
+func (k *keyBinding) matches(v bitvec.Vector, n int) bool {
+	return n > 0 && k.bound.Len() == n && v.HasPrefix(k.bound)
 }

@@ -206,8 +206,8 @@ func TestDistillerPairDeviceModes(t *testing.T) {
 		if mode == MaskedChain && len(d.ReadHelper().Masking.Selected) == 0 {
 			t.Fatalf("%v: no masking selections", mode)
 		}
-		if mode == OverlappingChain && len(d.BasePairs()) != 39 {
-			t.Fatalf("%v: %d base pairs, want 39", mode, len(d.BasePairs()))
+		if mode == OverlappingChain && len(d.basePair) != 39 {
+			t.Fatalf("%v: %d base pairs, want 39", mode, len(d.basePair))
 		}
 	}
 }

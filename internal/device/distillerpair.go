@@ -13,13 +13,11 @@ import (
 	"repro/internal/silicon"
 )
 
-// Reconstruction failures are per-query events on attack arms whose
-// manipulated helpers push the ECC past its radius; sentinel errors keep
-// that hot path allocation-free.
-var (
-	errECCFailure     = errors.New("device: ECC failure")
-	errOffsetMismatch = errors.New("device: offset/stream mismatch")
-)
+// errECCFailure marks a failed decode (or an offset that does not fit
+// the stream). Reconstruction failures are per-query events on attack
+// arms whose manipulated helpers push the ECC past its radius; a
+// sentinel error keeps that hot path allocation-free.
+var errECCFailure = errors.New("device: ECC failure")
 
 // PairingMode selects the pair-selection scheme combined with the
 // entropy distiller (paper §VI-D considers both).
@@ -78,9 +76,7 @@ type DistillerPairDevice struct {
 	basePair []pairing.Pair // fixed by the architecture, not helper data
 	nvm      DistillerPairHelperNVM
 	enrolled bitvec.Vector
-	bound    bitvec.Vector
-	boundBuf bitvec.Vector
-	src      *rng.Source
+	keyBinding
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
 	noise   *silicon.Noise
@@ -89,34 +85,25 @@ type DistillerPairDevice struct {
 
 // distillerScratch is the device's reusable reconstruction state:
 // the distiller surface evaluated on the grid, the resolved pair list,
-// and the measurement/codeword buffers. Per-device, not concurrency-safe
-// — Fork clones the device so each concurrent arm owns its own.
+// the sparse measurement set and the ECC decode kernel. Per-device, not
+// concurrency-safe — Fork clones the device so each concurrent arm owns
+// its own.
 type distillerScratch struct {
 	helperValid bool
-	freq        []float64
-	resid       []float64
-	grid        []float64
-	sel         []pairing.Pair
-	selBuf      []pairing.Pair
-	selErr      error
-	// idxs lists, ascending, the oscillators the resolved pair list
-	// references — the sparse measurement set (O(k) noise draws under
-	// the counter model). Empty while the masking selection is invalid.
-	idxs []int
-	want []bool
-	// bases caches the noise-free frequency vector per environment.
-	bases     silicon.BaseCache
-	blocks    int
-	block     *ecc.Block
-	padded    bitvec.Vector
-	recovered bitvec.Vector
-	ws        ecc.Workspace
-	// content fingerprints of the helper-derived caches: a helper write
-	// that changes only the ECC offset (an attack arm's hypothesis sweep)
-	// skips the grid evaluation and masking resolution entirely.
-	gridValid    bool
-	lastP        int
-	lastBeta     []float64
+	// probe lists the oscillators the resolved pair list references —
+	// the sparse measurement set (O(k) noise draws under the counter
+	// model). Empty while the masking selection is invalid.
+	probe   silicon.Probe
+	rep     ecc.Reproducer
+	grid    distiller.Grid
+	surface []float64
+	resid   []float64
+	sel     []pairing.Pair
+	selBuf  []pairing.Pair
+	selErr  error
+	// content fingerprint of the masking resolution: a helper write that
+	// changes only the ECC offset (an attack arm's hypothesis sweep)
+	// skips it entirely.
 	selValid     bool
 	lastK        int
 	lastSelected []int
@@ -127,17 +114,7 @@ type distillerScratch struct {
 // build (outcomes are pure functions of that content).
 func (d *DistillerPairDevice) refreshScratch() {
 	sc := &d.scratch
-	n := d.arr.N()
-	if cap(sc.freq) < n {
-		sc.freq = make([]float64, n)
-	}
-	sc.freq = sc.freq[:n]
-	if !sc.gridValid || d.nvm.Poly.P != sc.lastP || !slices.Equal(sc.lastBeta, d.nvm.Poly.Beta) {
-		sc.grid = d.nvm.Poly.EvalGrid(d.params.Rows, d.params.Cols, sc.grid)
-		sc.lastP = d.nvm.Poly.P
-		sc.lastBeta = append(sc.lastBeta[:0], d.nvm.Poly.Beta...)
-		sc.gridValid = true
-	}
+	sc.surface = sc.grid.For(d.nvm.Poly, d.params.Rows, d.params.Cols)
 	switch d.params.Mode {
 	case MaskedChain:
 		if !sc.selValid || d.nvm.Masking.K != sc.lastK || !slices.Equal(sc.lastSelected, d.nvm.Masking.Selected) {
@@ -153,38 +130,14 @@ func (d *DistillerPairDevice) refreshScratch() {
 	default:
 		sc.sel, sc.selErr = d.basePair, nil
 	}
-	if cap(sc.want) < n {
-		sc.want = make([]bool, n)
-	}
-	sc.want = sc.want[:n]
-	for i := range sc.want {
-		sc.want[i] = false
-	}
-	sc.idxs = sc.idxs[:0]
+	sc.probe.Reset(d.arr.N())
 	if sc.selErr == nil {
 		for _, p := range sc.sel {
-			sc.want[p.A] = true
-			sc.want[p.B] = true
-		}
-		for i, wanted := range sc.want {
-			if wanted {
-				sc.idxs = append(sc.idxs, i)
-			}
+			sc.probe.Add(p.A)
+			sc.probe.Add(p.B)
 		}
 	}
-	cn := d.params.Code.N()
-	blocks := (len(sc.sel) + cn - 1) / cn
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(d.params.Code, blocks)
-		sc.blocks = blocks
-	}
-	if padLen := blocks * cn; sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.recovered = bitvec.New(padLen)
-	}
+	sc.rep.Resize(d.params.Code, len(sc.sel))
 	sc.helperValid = true
 }
 
@@ -226,7 +179,6 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	d.base.reset(env)
 	d.arr = arr
 	d.params = p
-	d.src = srcRun
 	d.noise = noise
 	var mask pairing.MaskingHelper
 	switch p.Mode {
@@ -256,7 +208,6 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	d.enrolled = resp
 	d.bound = resp
 	d.scratch.helperValid = false
-	d.scratch.bases.Invalidate()
 	return d, nil
 }
 
@@ -273,11 +224,6 @@ func (d *DistillerPairDevice) response(resid []float64, mask pairing.MaskingHelp
 	default:
 		return pairing.Responses(resid, d.basePair), nil
 	}
-}
-
-// BasePairs returns the architecture's fixed pair list (public).
-func (d *DistillerPairDevice) BasePairs() []pairing.Pair {
-	return append([]pairing.Pair(nil), d.basePair...)
 }
 
 // ReadHelper returns a deep copy of the helper NVM.
@@ -297,6 +243,9 @@ func (d *DistillerPairDevice) HelperView() DistillerPairHelperNVM { return d.nvm
 // WriteHelper overwrites the helper NVM after structural validation and
 // re-binds the application key as in GroupBasedDevice.
 func (d *DistillerPairDevice) WriteHelper(h DistillerPairHelperNVM) error {
+	if err := h.Poly.Validate(); err != nil {
+		return err
+	}
 	if d.params.Mode == MaskedChain {
 		if err := h.Masking.Validate(d.basePair); err != nil {
 			return err
@@ -322,47 +271,34 @@ func (d *DistillerPairDevice) WriteHelper(h DistillerPairHelperNVM) error {
 // helper reconstructs, exactly as a helper write does (see
 // GroupBasedDevice.ReprovisionKey for the contract).
 func (d *DistillerPairDevice) ReprovisionKey() {
-	if n, err := d.reconstructScratch(); err == nil {
-		if d.boundBuf.Len() != n {
-			d.boundBuf = bitvec.New(n)
-		}
-		d.scratch.recovered.SliceInto(0, n, d.boundBuf)
-		d.bound = d.boundBuf
-	} else {
-		d.bound = bitvec.Vector{}
-	}
+	d.reprovision(d.reconstruct())
 }
 
-// BindKey binds the application to a predicted key.
-func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.boundBuf, key) }
-
-// reconstructScratch regenerates the key into the scratch buffers: on
-// success the first respLen bits of d.scratch.recovered hold the key.
+// reconstruct regenerates the key in the scratch buffers: on success
+// the first respLen bits of recovered (scratch-owned) hold the key.
 // Bit-identical — outcomes and noise sweeps consumed — to the
 // allocating reconstruction it replaced.
-func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
+func (d *DistillerPairDevice) reconstruct() (recovered bitvec.Vector, respLen int, err error) {
 	sc := &d.scratch
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
-	f := d.arr.MeasureSparseBase(sc.freq, sc.idxs, sc.bases.For(d.arr, d.env), d.noise)
-	sc.resid = distiller.DistillSparse(sc.resid, f, sc.grid, sc.idxs)
+	f := sc.probe.Measure(d.arr, d.env, d.noise)
+	sc.resid = distiller.DistillSparse(sc.resid, f, sc.surface, sc.probe.Indices())
 	if sc.selErr != nil {
-		return 0, sc.selErr
+		return bitvec.Vector{}, 0, sc.selErr
 	}
-	if sc.padded.Len() != d.nvm.Offset.Len() {
-		return 0, errOffsetMismatch
-	}
-	sc.padded.Zero()
+	stream := sc.rep.Stream()
 	for i, p := range sc.sel {
 		if pairing.ResponseBit(sc.resid, p) {
-			sc.padded.Set(i, true)
+			stream.Set(i, true)
 		}
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: d.nvm.Offset}, sc.padded, &sc.ws, sc.recovered); !ok {
-		return 0, errECCFailure
+	recovered, ok := sc.rep.Reproduce(d.nvm.Offset)
+	if !ok {
+		return bitvec.Vector{}, 0, errECCFailure
 	}
-	return len(sc.sel), nil
+	return recovered, len(sc.sel), nil
 }
 
 // App reconstructs and compares against the bound key, running in the
@@ -370,8 +306,8 @@ func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
 // contract).
 func (d *DistillerPairDevice) App() bool {
 	d.addQuery()
-	n, err := d.reconstructScratch()
-	return err == nil && n > 0 && d.bound.Len() == n && d.scratch.recovered.HasPrefix(d.bound)
+	recovered, n, err := d.reconstruct()
+	return err == nil && d.matches(recovered, n)
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).
@@ -382,15 +318,14 @@ func (d *DistillerPairDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone(
 // SeqPairDevice.Fork).
 func (d *DistillerPairDevice) Fork(seed uint64) *DistillerPairDevice {
 	f := &DistillerPairDevice{
-		arr:      d.arr,
-		params:   d.params,
-		basePair: append([]pairing.Pair(nil), d.basePair...),
-		nvm:      d.ReadHelper(),
-		enrolled: d.enrolled.Clone(),
-		bound:    d.bound.Clone(),
-		src:      rng.New(seed),
+		arr:        d.arr,
+		params:     d.params,
+		basePair:   append([]pairing.Pair(nil), d.basePair...),
+		nvm:        d.ReadHelper(),
+		enrolled:   d.enrolled.Clone(),
+		keyBinding: keyBinding{bound: d.bound.Clone()},
+		noise:      d.arr.NewNoise(rng.New(seed)),
 	}
-	f.noise = d.arr.NewNoise(f.src)
 	f.env = d.env
 	return f
 }

@@ -22,7 +22,6 @@ type FuzzyDevice struct {
 	pairs  []pairing.Pair
 	nvm    fuzzy.Helper
 	key    []byte
-	src    *rng.Source
 	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
 }
@@ -56,7 +55,6 @@ func EnrollFuzzy(p FuzzyParams, srcMfg, srcRun *rng.Source) (*FuzzyDevice, error
 		pairs:  pairs,
 		nvm:    h,
 		key:    key,
-		src:    srcRun,
 		noise:  noise,
 	}, nil
 }

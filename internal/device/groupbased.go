@@ -24,14 +24,11 @@ type GroupBasedDevice struct {
 	arr    *silicon.Array
 	params groupbased.Params
 	nvm    groupbased.Helper
-	// enrolled is the original key; bound is the key the application
-	// currently operates with (re-provisioned after a key change, the
-	// paper's "maliciously reprogrammed keys" scenario). boundBuf is the
-	// reusable storage behind bound.
+	// enrolled is the original key; the keyBinding is the key the
+	// application currently operates with (re-provisioned after a key
+	// change, the paper's "maliciously reprogrammed keys" scenario).
 	enrolled bitvec.Vector
-	bound    bitvec.Vector
-	boundBuf bitvec.Vector
-	src      *rng.Source
+	keyBinding
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
 	noise *silicon.Noise
@@ -69,9 +66,8 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	d.nvm = h
 	d.enrolled = key
 	d.bound = key
-	d.src = srcRun
 	d.noise = noise
-	d.scratch.InvalidateSilicon()
+	d.scratch.Invalidate()
 	return d, nil
 }
 
@@ -95,6 +91,9 @@ func (d *GroupBasedDevice) HelperView() groupbased.Helper { return d.nvm }
 // encrypted under (the re-provisioning step of the reprogrammed-key
 // scenario).
 func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
+	if err := h.Poly.Validate(); err != nil {
+		return err
+	}
 	if err := h.Grouping.Validate(d.arr.N()); err != nil {
 		return err
 	}
@@ -126,17 +125,9 @@ func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
 // keep the write's observable side effects (binding and noise-sweep
 // consumption) without re-parsing the image.
 func (d *GroupBasedDevice) ReprovisionKey() {
-	if key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch); err == nil {
-		d.bound = setBound(&d.boundBuf, key)
-	} else {
-		d.bound = bitvec.Vector{}
-	}
+	key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	d.reprovision(key, key.Len(), err)
 }
-
-// BindKey lets the attacker bind the application to a predicted key
-// directly (e.g. by presenting data encrypted under it), the cleanest
-// reading of the paper's reprogrammed-key observable.
-func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.boundBuf, key) }
 
 // App reconstructs with the current helper and compares against the
 // currently bound application key, running in the device's scratch
@@ -144,7 +135,7 @@ func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.bo
 func (d *GroupBasedDevice) App() bool {
 	d.addQuery()
 	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
-	return err == nil && d.bound.Len() > 0 && keysEqual(got, d.bound)
+	return err == nil && d.matches(got, got.Len())
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).
@@ -155,14 +146,13 @@ func (d *GroupBasedDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
 // SeqPairDevice.Fork).
 func (d *GroupBasedDevice) Fork(seed uint64) *GroupBasedDevice {
 	f := &GroupBasedDevice{
-		arr:      d.arr,
-		params:   d.params,
-		nvm:      d.ReadHelper(),
-		enrolled: d.enrolled.Clone(),
-		bound:    d.bound.Clone(),
-		src:      rng.New(seed),
+		arr:        d.arr,
+		params:     d.params,
+		nvm:        d.ReadHelper(),
+		enrolled:   d.enrolled.Clone(),
+		keyBinding: keyBinding{bound: d.bound.Clone()},
+		noise:      d.arr.NewNoise(rng.New(seed)),
 	}
-	f.noise = d.arr.NewNoise(f.src)
 	f.env = d.env
 	return f
 }

@@ -95,7 +95,7 @@ func TestEnrollReuseMatchesFresh(t *testing.T) {
 				if !pooled.TrueKey().Equal(fresh.TrueKey()) {
 					t.Fatalf("seeds %v: reuse enrolled a different key", seeds)
 				}
-				// Warm the BaseCache at one environment, then move the
+				// Warm the Probe base vector at one environment, then move the
 				// operating point: a stale noise-free frequency cache
 				// from the previous silicon diverges immediately.
 				fresh.SetEnvironment(silicon.Environment{TempC: 60, VoltageV: 1.2})

@@ -35,7 +35,6 @@ type SeqPairDevice struct {
 	params SeqPairParams
 	nvm    SeqPairHelperNVM
 	key    bitvec.Vector // enrolled key (secret, drives the observable)
-	src    *rng.Source
 	// noise is the per-oracle measurement-noise state (the counter-mode
 	// sweep counter); Fork builds a fresh one per clone.
 	noise   *silicon.Noise
@@ -43,60 +42,26 @@ type SeqPairDevice struct {
 }
 
 // seqPairScratch is the device's reusable reconstruction state: the
-// sparse-measurement mask derived from the stored pair list, the
-// frequency and codeword buffers, and the ECC decode workspace. It makes
-// a steady-state App call allocation-free; WriteHelper invalidates it.
-// Scratch is per-device state, NOT concurrency-safe — Fork clones a
-// device precisely so each concurrent arm owns its own scratch.
+// sparse measurement set derived from the stored pair list and the ECC
+// decode kernel. It makes a steady-state App call allocation-free;
+// WriteHelper invalidates it. Scratch is per-device state, NOT
+// concurrency-safe — Fork clones a device precisely so each concurrent
+// arm owns its own scratch.
 type seqPairScratch struct {
 	helperValid bool
-	freq        []float64
-	want        []bool
-	idxs        []int
-	bases       silicon.BaseCache
-	blocks      int
-	block       *ecc.Block
-	padded      bitvec.Vector
-	recovered   bitvec.Vector
-	ws          ecc.Workspace
+	probe       silicon.Probe
+	rep         ecc.Reproducer
 }
 
-// refresh rebuilds the helper-derived caches from the current NVM.
+// refreshScratch rebuilds the helper-derived caches from the current NVM.
 func (d *SeqPairDevice) refreshScratch() {
 	sc := &d.scratch
-	n := d.arr.N()
-	if cap(sc.want) < n {
-		sc.want = make([]bool, n)
-		sc.freq = make([]float64, n)
-	}
-	sc.want = sc.want[:n]
-	sc.freq = sc.freq[:n]
-	for i := range sc.want {
-		sc.want[i] = false
-	}
+	sc.probe.Reset(d.arr.N())
 	for _, p := range d.nvm.Pairs.Pairs {
-		sc.want[p.A] = true
-		sc.want[p.B] = true
+		sc.probe.Add(p.A)
+		sc.probe.Add(p.B)
 	}
-	sc.idxs = sc.idxs[:0]
-	for i, wanted := range sc.want {
-		if wanted {
-			sc.idxs = append(sc.idxs, i)
-		}
-	}
-	cn := d.params.Code.N()
-	blocks := (len(d.nvm.Pairs.Pairs) + cn - 1) / cn
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(d.params.Code, blocks)
-		sc.blocks = blocks
-	}
-	if padLen := blocks * cn; sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.recovered = bitvec.New(padLen)
-	}
+	sc.rep.Resize(d.params.Code, len(d.nvm.Pairs.Pairs))
 	sc.helperValid = true
 }
 
@@ -146,14 +111,8 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 	d.params = p
 	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off.W}
 	d.key = resp
-	d.src = srcRun
 	d.noise = noise
-	// The remanufactured array lives at the same pointer, so the
-	// env+length check of the scratch's BaseCache cannot detect the
-	// content change — invalidate explicitly along with the
-	// helper-derived caches.
 	d.scratch.helperValid = false
-	d.scratch.bases.Invalidate()
 	return d, nil
 }
 
@@ -212,24 +171,19 @@ func (d *SeqPairDevice) App() bool {
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
-	f := d.arr.MeasureSparseBase(sc.freq, sc.idxs, sc.bases.For(d.arr, d.env), d.noise)
+	f := sc.probe.Measure(d.arr, d.env, d.noise)
 	pairs := d.nvm.Pairs.Pairs
 	if len(pairs) != d.key.Len() {
 		return false
 	}
-	if sc.padded.Len() != d.nvm.Offset.Len() {
-		return false
-	}
-	sc.padded.Zero()
+	stream := sc.rep.Stream()
 	for i, p := range pairs {
 		if pairing.ResponseBit(f, p) {
-			sc.padded.Set(i, true)
+			stream.Set(i, true)
 		}
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: d.nvm.Offset}, sc.padded, &sc.ws, sc.recovered); !ok {
-		return false
-	}
-	return sc.recovered.HasPrefix(d.key)
+	recovered, ok := sc.rep.Reproduce(d.nvm.Offset)
+	return ok && recovered.HasPrefix(d.key)
 }
 
 // TrueKey returns the enrolled key. Evaluation-only: attacks never call
@@ -246,9 +200,8 @@ func (d *SeqPairDevice) Fork(seed uint64) *SeqPairDevice {
 		params: d.params,
 		nvm:    d.ReadHelper(),
 		key:    d.key.Clone(),
-		src:    rng.New(seed),
+		noise:  d.arr.NewNoise(rng.New(seed)),
 	}
-	f.noise = d.arr.NewNoise(f.src)
 	f.env = d.env
 	return f
 }

@@ -16,7 +16,6 @@ type TempCoDevice struct {
 	params tempco.Params
 	nvm    tempco.Helper
 	key    bitvec.Vector
-	src    *rng.Source
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
 	noise *silicon.Noise
@@ -57,9 +56,8 @@ func EnrollTempCoReuse(prev *TempCoDevice, p tempco.Params, srcMfg, srcRun *rng.
 	d.params = p
 	d.nvm = h
 	d.key = key
-	d.src = srcRun
 	d.noise = noise
-	d.scratch.InvalidateSilicon()
+	d.scratch.Invalidate()
 	return d, nil
 }
 
@@ -101,7 +99,7 @@ func (d *TempCoDevice) WriteHelper(h tempco.Helper) error {
 func (d *TempCoDevice) App() bool {
 	d.addQuery()
 	got, err := tempco.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
-	return err == nil && keysEqual(got, d.key)
+	return err == nil && got.Equal(d.key)
 }
 
 // TrueKey returns the enrolled key (evaluation-only).
@@ -116,9 +114,8 @@ func (d *TempCoDevice) Fork(seed uint64) *TempCoDevice {
 		params: d.params,
 		nvm:    d.ReadHelper(),
 		key:    d.key.Clone(),
-		src:    rng.New(seed),
+		noise:  d.arr.NewNoise(rng.New(seed)),
 	}
-	f.noise = d.arr.NewNoise(f.src)
 	f.env = d.env
 	return f
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/linalg"
 )
@@ -43,6 +44,19 @@ func NewPoly2D(p int) Poly2D {
 
 // term returns the flat index of coefficient (i, j).
 func term(i, j int) int { return i*(i+1)/2 + j }
+
+// Validate reports a malformed polynomial: a negative degree, or a
+// coefficient count other than NumTerms(P). Eval and EvalGrid index
+// Beta by degree, so a typed helper must pass this before a device
+// evaluates it (Unmarshal sizes Beta from P and cannot produce one).
+func (q Poly2D) Validate() error {
+	// NumTerms(P) > P, so rejecting P >= len(Beta) first also keeps
+	// NumTerms from overflowing on a huge typed degree.
+	if q.P < 0 || q.P >= len(q.Beta) || NumTerms(q.P) != len(q.Beta) {
+		return fmt.Errorf("distiller: degree %d with %d coefficients, want (P+1)(P+2)/2", q.P, len(q.Beta))
+	}
+	return nil
+}
 
 // Coeff returns beta[i,j]. It panics outside the triangle j <= i <= P.
 func (q Poly2D) Coeff(i, j int) float64 {
@@ -184,6 +198,32 @@ func (q Poly2D) EvalGrid(rows, cols int, dst []float64) []float64 {
 		dst[idx] = q.Eval(float64(idx%cols), float64(idx/cols))
 	}
 	return dst
+}
+
+// Grid caches the EvalGrid surface of one polynomial, keyed on its
+// contents and the array geometry: a reconstruction calls For once per
+// helper write, and a write that repeats the previous coefficients (an
+// attack arm's hypothesis sweep varies only the ECC offset) skips the
+// evaluation. The zero value is ready; not safe for concurrent use.
+type Grid struct {
+	valid      bool
+	p          int
+	beta       []float64
+	rows, cols int
+	surface    []float64
+}
+
+// For returns poly's surface over a rows x cols array, re-evaluating
+// only when the degree, coefficients or geometry changed since the
+// last call. The slice is Grid-owned and valid until the next For.
+func (g *Grid) For(poly Poly2D, rows, cols int) []float64 {
+	if !g.valid || poly.P != g.p || rows != g.rows || cols != g.cols || !slices.Equal(g.beta, poly.Beta) {
+		g.surface = poly.EvalGrid(rows, cols, g.surface)
+		g.p, g.rows, g.cols = poly.P, rows, cols
+		g.beta = append(g.beta[:0], poly.Beta...)
+		g.valid = true
+	}
+	return g.surface
 }
 
 // DistillWithGrid subtracts a precomputed EvalGrid surface from a

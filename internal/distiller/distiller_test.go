@@ -264,3 +264,34 @@ func BenchmarkFit16x32Degree3(b *testing.B) {
 		}
 	}
 }
+
+// TestGridReevaluatesOnChange pins the surface cache: For returns
+// exactly EvalGrid of the polynomial it is given, re-evaluating when
+// the degree, a coefficient or the geometry changes — including a
+// coefficient changed in place in the caller's slice, which a cache
+// keyed on the slice rather than its contents would miss.
+func TestGridReevaluatesOnChange(t *testing.T) {
+	var g Grid
+	check := func(step string, q Poly2D, rows, cols int) {
+		t.Helper()
+		got := g.For(q, rows, cols)
+		want := q.EvalGrid(rows, cols, nil)
+		if len(got) != len(want) {
+			t.Fatalf("%s: surface has %d cells, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: cell %d = %v, want %v", step, i, got[i], want[i])
+			}
+		}
+	}
+	q := Plane(1, 2, 3)
+	check("first", q, 4, 10)
+	check("repeat", Poly2D{P: q.P, Beta: append([]float64(nil), q.Beta...)}, 4, 10)
+	q.Beta[2] = -7 // in place: same slice, new content
+	check("coefficient", q, 4, 10)
+	check("degree", QuadraticValleyX(4.5, 2), 4, 10)
+	valley := QuadraticValleyX(4.5, 2)
+	check("geometry", valley, 5, 10)
+	check("degree down", Plane(1, 2, 3), 5, 10)
+}

@@ -113,3 +113,51 @@ func ReproduceInto(c Code, o Offset, response bitvec.Vector, ws *Workspace, dst 
 	o.W.XorInto(dst, dst)
 	return corrected, true
 }
+
+// Reproducer is the code-offset decode kernel of a reconstruction: a
+// code laid over a response stream of a given bit length in the
+// PadToBlocks layout (whole blocks, at least one), the zero-padded
+// stream buffer the response bits are written into, and the decode
+// scratch. Every construction's per-query decode runs through one.
+// Ready after Resize; not safe for concurrent use.
+type Reproducer struct {
+	block     *Block
+	stream    bitvec.Vector
+	recovered bitvec.Vector
+	ws        Workspace
+}
+
+// Resize lays code over a bits-long response stream, rebuilding the
+// block code and buffers only when the layout changes.
+func (r *Reproducer) Resize(code Code, bits int) {
+	n := code.N()
+	blocks := max((bits+n-1)/n, 1)
+	if r.block == nil || r.block.inner != code || r.block.blocks != blocks {
+		r.block = NewBlock(code, blocks)
+	}
+	if r.stream.Len() != blocks*n {
+		r.stream = bitvec.New(blocks * n)
+		r.recovered = bitvec.New(blocks * n)
+	}
+}
+
+// Stream zeroes the padded stream buffer and returns it for the
+// caller to write the response bits into.
+func (r *Reproducer) Stream() bitvec.Vector {
+	r.stream.Zero()
+	return r.stream
+}
+
+// Reproduce decodes the stream against the helper offset w. ok is
+// false when w's length differs from the padded stream's or decoding
+// fails; on ok the recovered stream is returned, Reproducer-owned and
+// valid until the next call.
+func (r *Reproducer) Reproduce(w bitvec.Vector) (recovered bitvec.Vector, ok bool) {
+	if w.Len() != r.stream.Len() {
+		return bitvec.Vector{}, false
+	}
+	if _, ok = ReproduceInto(r.block, Offset{W: w}, r.stream, &r.ws, r.recovered); !ok {
+		return bitvec.Vector{}, false
+	}
+	return r.recovered, true
+}

@@ -65,7 +65,12 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestReproduceIntoMatchesReproduce pins the code-offset scratch path.
+// TestReproduceIntoMatchesReproduce pins the code-offset scratch paths:
+// ReproduceInto on a fixed Block, and the Reproducer kernel over stream
+// lengths that land below, on and across block boundaries (0, 1, n,
+// n+1, 3n bits), against Reproduce on the PadToBlocks layout — with one
+// Reproducer resized across all of them so buffer-reuse bugs cannot
+// hide.
 func TestReproduceIntoMatchesReproduce(t *testing.T) {
 	src := rng.New(77)
 	c := NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 2)
@@ -90,6 +95,76 @@ func TestReproduceIntoMatchesReproduce(t *testing.T) {
 		if wantOK && !dst.Equal(wantRec) {
 			t.Fatalf("flips=%d: recovered responses differ", flips)
 		}
+	}
+
+	code := MustBCH(BCHConfig{M: 5, T: 3})
+	n := code.N()
+	var r Reproducer
+	for _, bits := range []int{0, 1, n, n + 1, 3 * n, 1} {
+		enrolled := bitvec.New(bits)
+		for i := 0; i < bits; i++ {
+			enrolled.Set(i, src.Bool())
+		}
+		padded, blocks := PadToBlocks(enrolled, code)
+		block := NewBlock(code, blocks)
+		off := EnrollOffset(block, padded, src)
+		r.Resize(code, bits)
+		for flips := 0; flips <= code.T()+2; flips++ {
+			noisy := enrolled.Clone()
+			for f := 0; f < flips && bits > 0; f++ {
+				noisy.Flip(src.Intn(bits))
+			}
+			stream := r.Stream()
+			if stream.Len() != padded.Len() || !stream.IsZero() {
+				t.Fatalf("bits=%d: Stream is %d bits (zero=%v), want %d zero bits", bits, stream.Len(), stream.IsZero(), padded.Len())
+			}
+			for i := 0; i < bits; i++ {
+				stream.Set(i, noisy.Get(i))
+			}
+			noisyPadded, _ := PadToBlocks(noisy, code)
+			wantRec, _, wantOK := Reproduce(block, off, noisyPadded)
+			gotRec, gotOK := r.Reproduce(off.W)
+			if gotOK != wantOK {
+				t.Fatalf("bits=%d flips=%d: Reproducer ok=%v, Reproduce ok=%v", bits, flips, gotOK, wantOK)
+			}
+			if wantOK && !gotRec.Equal(wantRec) {
+				t.Fatalf("bits=%d flips=%d: recovered streams differ", bits, flips)
+			}
+			// The stream is left as written; scribble on it so the next
+			// Stream call must zero it again.
+			stream.SetAll()
+		}
+		if _, ok := r.Reproduce(bitvec.New(padded.Len() + 1)); ok {
+			t.Fatalf("bits=%d: offset longer than the stream decoded", bits)
+		}
+		if padded.Len() > n {
+			if _, ok := r.Reproduce(bitvec.New(padded.Len() - n)); ok {
+				t.Fatalf("bits=%d: offset shorter than the stream decoded", bits)
+			}
+		}
+	}
+}
+
+// TestReproducerSteadyStateAllocs pins the per-query decode kernel's
+// allocation-free steady state, failures and length mismatches included.
+func TestReproducerSteadyStateAllocs(t *testing.T) {
+	code := MustBCH(BCHConfig{M: 5, T: 3})
+	src := rng.New(5)
+	var r Reproducer
+	r.Resize(code, 2*code.N()+3)
+	w := bitvec.New(r.Stream().Len())
+	for i := 0; i < w.Len(); i++ {
+		w.Set(i, src.Bool())
+	}
+	short := bitvec.New(w.Len() - 1)
+	r.Reproduce(w) // grow the workspace
+	if got := testing.AllocsPerRun(50, func() {
+		r.Resize(code, 2*code.N()+3)
+		r.Stream().Set(0, true)
+		r.Reproduce(w)
+		r.Reproduce(short)
+	}); got > 0 {
+		t.Fatalf("Reproducer allocates %.1f/op in steady state", got)
 	}
 }
 

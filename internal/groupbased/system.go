@@ -211,55 +211,35 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 // member lists, distiller surface, stream geometry) are rebuilt. Not
 // safe for concurrent use — forks get their own zero Scratch.
 type Scratch struct {
-	freq  []float64
-	resid []float64
-	grid  []float64
-	// bases caches the noise-free frequency vector per environment.
-	bases silicon.BaseCache
-	// idxs lists, ascending, the oscillators belonging to groups of two
-	// or more members — the only cells whose residuals the Kendall
-	// coding reads, and therefore the sparse measurement set (O(k)
-	// noise draws under the counter model).
-	idxs []int
+	// probe holds the oscillators belonging to groups of two or more
+	// members — the only cells whose residuals the Kendall coding
+	// reads, and therefore the sparse measurement set (O(k) noise
+	// draws under the counter model).
+	probe   silicon.Probe
+	rep     ecc.Reproducer
+	grid    distiller.Grid
+	surface []float64
+	resid   []float64
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
 	members     [][]int
 	streamLen   int
 	keyLen      int
-	blocks      int
-	block       *ecc.Block
 	// per-measurement buffers.
-	padded    bitvec.Vector
-	corrected bitvec.Vector
 	key       bitvec.Vector
-	ws        ecc.Workspace
 	perm      perm.Scratch
 	groupVals []float64
-	// content fingerprints: a helper write that repeats the previous
-	// grouping or polynomial (an attack arm's hypothesis sweep varies
-	// only the ECC offset) skips revalidation and cache rebuilds, whose
-	// outcomes are pure functions of that content.
+	// content fingerprint: a helper write that repeats the previous
+	// grouping (an attack arm's hypothesis sweep varies only the ECC
+	// offset) skips revalidation and the member rebuild, whose outcomes
+	// are pure functions of that content.
 	groupsValid bool
 	lastAssign  []int
-	gridValid   bool
-	lastP       int
-	lastBeta    []float64
 }
 
 // Invalidate drops the helper-derived caches; the next Reconstruct
 // revalidates and rebuilds them.
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
-
-// InvalidateSilicon additionally drops the caches derived from the
-// silicon array's contents (the noise-free frequency vectors). Required
-// on the device-pool path, where Array.Remanufactured changes the
-// array's contents under the same pointer; buffer capacity and the
-// helper-content fingerprints are kept (those are pure functions of
-// helper content, not of the silicon).
-func (sc *Scratch) InvalidateSilicon() {
-	sc.helperValid = false
-	sc.bases.Invalidate()
-}
 
 // refresh (re)builds the helper-derived caches, validating in a fixed
 // order so a malformed helper always fails with the same error.
@@ -277,38 +257,22 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 		sc.members = h.Grouping.Members()
 		sc.streamLen = StreamLen(&h.Grouping)
 		sc.keyLen = KeyLen(&h.Grouping)
-		sc.idxs = sc.idxs[:0]
+		sc.probe.Reset(a.N())
 		for _, members := range sc.members {
 			if len(members) >= 2 {
-				sc.idxs = append(sc.idxs, members...)
+				for _, ro := range members {
+					sc.probe.Add(ro)
+				}
 			}
 		}
-		slices.Sort(sc.idxs)
 		sc.lastAssign = append(sc.lastAssign[:0], h.Grouping.Assign...)
 		sc.groupsValid = true
 	}
 	if sc.streamLen > h.Offset.Len() {
 		return fmt.Errorf("groupbased: offset too short for grouping stream")
 	}
-	if !sc.gridValid || h.Poly.P != sc.lastP || !slices.Equal(sc.lastBeta, h.Poly.Beta) {
-		sc.grid = h.Poly.EvalGrid(p.Rows, p.Cols, sc.grid)
-		sc.lastP = h.Poly.P
-		sc.lastBeta = append(sc.lastBeta[:0], h.Poly.Beta...)
-		sc.gridValid = true
-	}
-	blocks := (sc.streamLen + p.Code.N() - 1) / p.Code.N()
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(p.Code, blocks)
-		sc.blocks = blocks
-	}
-	padLen := blocks * p.Code.N()
-	if sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.corrected = bitvec.New(padLen)
-	}
+	sc.surface = sc.grid.For(h.Poly, p.Rows, p.Cols)
+	sc.rep.Resize(p.Code, sc.streamLen)
 	if sc.key.Len() != sc.keyLen {
 		sc.key = bitvec.New(sc.keyLen)
 	}
@@ -325,7 +289,7 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 // It runs against caller-owned scratch state: the reconstruction hot
 // path the devices run per oracle query, free of steady-state
 // allocations. Only the oscillators in groups of two or more members
-// are measured and distilled (MeasureSparse + DistillSparse, O(k) noise
+// are measured and distilled (silicon.Probe + DistillSparse, O(k) noise
 // draws). The returned key is scratch-owned and valid until the next
 // call; clone it to retain it.
 func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
@@ -334,14 +298,11 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			return bitvec.Vector{}, err
 		}
 	}
-	if cap(sc.freq) < a.N() {
-		sc.freq = make([]float64, a.N())
-	}
-	f := a.MeasureSparseBase(sc.freq[:a.N()], sc.idxs, sc.bases.For(a, env), nm)
-	sc.resid = distiller.DistillSparse(sc.resid, f, sc.grid, sc.idxs)
+	f := sc.probe.Measure(a, env, nm)
+	sc.resid = distiller.DistillSparse(sc.resid, f, sc.surface, sc.probe.Indices())
 	// Kendall-code the per-group orders straight into the zero-padded
 	// block buffer (the fusion of KendallStream and ecc.PadToBlocks).
-	sc.padded.Zero()
+	stream := sc.rep.Stream()
 	at := 0
 	for _, members := range sc.members {
 		if len(members) < 2 {
@@ -357,16 +318,17 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			vals[l] = sc.resid[ro]
 		}
 		order := sc.perm.OrderInto(vals)
-		sc.perm.KendallEncodeAt(sc.padded, at, order)
+		sc.perm.KendallEncodeAt(stream, at, order)
 		at += perm.KendallBits(len(members))
 	}
-	if sc.padded.Len() != h.Offset.Len() {
-		return bitvec.Vector{}, fmt.Errorf("groupbased: stream/offset length mismatch %d vs %d", sc.padded.Len(), h.Offset.Len())
+	if stream.Len() != h.Offset.Len() {
+		return bitvec.Vector{}, fmt.Errorf("groupbased: stream/offset length mismatch %d vs %d", stream.Len(), h.Offset.Len())
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: h.Offset}, sc.padded, &sc.ws, sc.corrected); !ok {
+	corrected, ok := sc.rep.Reproduce(h.Offset)
+	if !ok {
 		return bitvec.Vector{}, ErrReconstructFailed
 	}
-	return sc.packKeyInto(h, sc.corrected)
+	return sc.packKeyInto(h, corrected)
 }
 
 // packKeyInto is PackKey into the scratch key buffer, using the cached

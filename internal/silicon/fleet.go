@@ -16,8 +16,7 @@
 //	nm  := arr.NewNoise(src)
 //	arr.MeasureIntoWith(row, env, nm)   // sweep 0, 1, 2, ... in order
 //
-// (and MeasureSparse for subset sweeps) — pinned by the equivalence
-// tests in fleet_test.go.
+// — pinned by the equivalence tests in fleet_test.go.
 package silicon
 
 import (
@@ -48,8 +47,8 @@ type Fleet struct {
 	sweep uint64
 
 	// Cached noise-free frequency matrix for trueEnv (the fleet-wide
-	// BaseCache): rebuilt in place when a measurement call moves the
-	// operating point.
+	// Probe base vector): rebuilt in place when a measurement call
+	// moves the operating point.
 	trueRows  []float64
 	trueEnv   Environment
 	trueValid bool
@@ -140,49 +139,6 @@ func (f *Fleet) MeasureFleetInto(dst []float64, env Environment) []float64 {
 	} else {
 		for i := range dst {
 			dst[i] = tr[i] + sigma*dst[i]
-		}
-	}
-	return dst
-}
-
-// MeasureFleetSubset performs one sparse measurement sweep: only the
-// oscillators listed in idxs (ascending, no duplicates — a
-// helper-referenced oscillator list) are measured, on every device.
-// dst is the full devices×numOsc matrix; entries outside the subset
-// are scratch garbage the caller must not read. Contiguous index runs
-// become offset bulk fills (rng.FillNormAt); the counter-mode purity
-// guarantee makes the values identical to per-oscillator scalar draws,
-// so row d stays bit-identical to MeasureSparse on the equivalent
-// single device. It returns dst.
-func (f *Fleet) MeasureFleetSubset(dst []float64, idxs []int, env Environment) []float64 {
-	if len(dst) != f.devices*f.numOsc {
-		panic(fmt.Sprintf("silicon: MeasureFleetSubset buffer length %d, want %d", len(dst), f.devices*f.numOsc))
-	}
-	tr := f.trueFor(env)
-	sweep := f.sweep
-	f.sweep++
-	sigma, window := f.cfg.NoiseSigmaMHz, f.cfg.CounterWindowUS
-	for d := 0; d < f.devices; d++ {
-		row := dst[d*f.numOsc : (d+1)*f.numOsc]
-		sw := rng.NewBlockSweep(f.keys[d], sweep)
-		if len(idxs) == len(row) {
-			sw.FillNorm(row)
-		} else {
-			for j := 0; j < len(idxs); {
-				// Extend the current run of consecutive indices and
-				// fill it in one offset call.
-				k := j + 1
-				for k < len(idxs) && idxs[k] == idxs[k-1]+1 {
-					k++
-				}
-				start := idxs[j]
-				sw.FillNormAt(row[start:start+(k-j)], uint64(start))
-				j = k
-			}
-		}
-		trow := tr[d*f.numOsc : (d+1)*f.numOsc]
-		for _, i := range idxs {
-			row[i] = quantizeWindow(trow[i]+sigma*row[i], window)
 		}
 	}
 	return dst

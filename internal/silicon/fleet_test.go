@@ -29,11 +29,10 @@ func newSingleDevice(cfg Config, seed uint64) singleDevice {
 }
 
 // TestFleetMatchesSingleDevicePath pins the Fleet determinism contract:
-// through an interleaved schedule of full sweeps, sparse sweeps, and
-// environment changes — with and without counter quantization — every
-// row of every fleet measurement is bit-identical to the single-device
-// counter-mode path (MeasureIntoWith / MeasureSparse) at the same sweep
-// counter.
+// through a schedule of sweeps across environment changes — with and
+// without counter quantization — every row of every fleet measurement
+// is bit-identical to the single-device counter-mode path
+// (MeasureIntoWith) at the same sweep counter.
 func TestFleetMatchesSingleDevicePath(t *testing.T) {
 	for _, windowUS := range []float64{0, 50} {
 		cfg := fleetTestConfig(windowUS)
@@ -47,47 +46,19 @@ func TestFleetMatchesSingleDevicePath(t *testing.T) {
 
 		envA := cfg.NominalEnv()
 		envB := Environment{TempC: 80, VoltageV: 1.1}
-		// Ascending subsets: a contiguous helper-style run, a strided
-		// list, and a run starting at an odd index (block straddle).
-		subsets := [][]int{
-			{0, 1, 2, 3, 4, 5, 6, 7},
-			{3, 4, 5, 6, 20, 40, 41, 127},
-			{1, 2, 3, 9, 11, 64},
-		}
-		type step struct {
-			env  Environment
-			idxs []int // nil = full sweep
-		}
-		schedule := []step{
-			{envA, nil}, {envA, nil}, {envA, subsets[0]}, {envA, nil},
-			{envB, nil}, {envB, subsets[1]}, {envA, subsets[2]}, {envA, nil},
-		}
+		schedule := []Environment{envA, envA, envA, envB, envB, envA, envA}
 
 		got := make([]float64, len(seeds)*n)
 		want := make([]float64, n)
-		for si, st := range schedule {
-			if st.idxs == nil {
-				fleet.MeasureFleetInto(got, st.env)
-			} else {
-				fleet.MeasureFleetSubset(got, st.idxs, st.env)
-			}
+		for si, env := range schedule {
+			fleet.MeasureFleetInto(got, env)
 			for d := range devs {
 				row := got[d*n : (d+1)*n]
-				if st.idxs == nil {
-					devs[d].arr.MeasureIntoWith(want, st.env, devs[d].nm)
-					for i := range want {
-						if row[i] != want[i] {
-							t.Fatalf("window=%v step %d device %d osc %d: fleet %v, single-device %v",
-								windowUS, si, d, i, row[i], want[i])
-						}
-					}
-				} else {
-					devs[d].arr.MeasureSparse(want, st.idxs, st.env, devs[d].nm)
-					for _, i := range st.idxs {
-						if row[i] != want[i] {
-							t.Fatalf("window=%v step %d device %d osc %d (sparse): fleet %v, single-device %v",
-								windowUS, si, d, i, row[i], want[i])
-						}
+				devs[d].arr.MeasureIntoWith(want, env, devs[d].nm)
+				for i := range want {
+					if row[i] != want[i] {
+						t.Fatalf("window=%v step %d device %d osc %d: fleet %v, single-device %v",
+							windowUS, si, d, i, row[i], want[i])
 					}
 				}
 			}
@@ -133,18 +104,12 @@ func TestMeasureFleetIntoAllocFree(t *testing.T) {
 	fleet := NewFleet(cfg, []uint64{1, 2, 3, 4})
 	dst := make([]float64, fleet.Devices()*fleet.NumOsc())
 	envA, envB := cfg.NominalEnv(), Environment{TempC: 80, VoltageV: 1.1}
-	idxs := []int{1, 2, 3, 64}
 	fleet.MeasureFleetInto(dst, envA) // warm the cache
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		fleet.MeasureFleetInto(dst, envA)
 	}); allocs != 0 {
 		t.Fatalf("steady-state MeasureFleetInto allocates %v/run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		fleet.MeasureFleetSubset(dst, idxs, envA)
-	}); allocs != 0 {
-		t.Fatalf("steady-state MeasureFleetSubset allocates %v/run, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		fleet.MeasureFleetInto(dst, envA)

@@ -154,6 +154,9 @@ type Array struct {
 	systematic []float64 // systematic component of base (for analysis)
 	random     []float64 // random component of base (for analysis)
 	tempCoef   []float64 // per-RO dF/dT
+	// gen counts in-place remanufactures: with the pointer it names
+	// the array's contents, which is what Probe keys its cache on.
+	gen uint64
 }
 
 // NewArray manufactures one array instance, drawing its variability from
@@ -196,9 +199,9 @@ func (c Config) manufactureInto(src *rng.Source, base, systematic, random, tempC
 // the device-pool path that turns per-seed manufacture from four slice
 // allocations into zero. The result is bit-identical to NewArray(cfg,
 // src) — same draw order, same arithmetic — and when the geometry
-// matches, the returned array IS a (pointer identity preserved for
-// scratch invalidation checks). A nil receiver or a size change falls
-// back to NewArray.
+// matches, the returned array IS a, with its generation advanced so
+// every Probe keyed on it rebuilds. A nil receiver or a size change
+// falls back to NewArray.
 func (a *Array) Remanufactured(cfg Config, src *rng.Source) *Array {
 	if a == nil || len(a.base) != cfg.Rows*cfg.Cols {
 		return NewArray(cfg, src)
@@ -207,6 +210,7 @@ func (a *Array) Remanufactured(cfg Config, src *rng.Source) *Array {
 		panic(err)
 	}
 	a.cfg = cfg
+	a.gen++
 	cfg.manufactureInto(src, a.base, a.systematic, a.random, a.tempCoef)
 	return a
 }
@@ -239,13 +243,6 @@ func (a *Array) Rows() int { return a.cfg.Rows }
 
 // Cols returns the layout column count.
 func (a *Array) Cols() int { return a.cfg.Cols }
-
-// Pos maps an oscillator index to its (x, y) = (column, row) grid
-// position; indices scan row-major, matching the univariate labeling of
-// the paper's Section II.
-func (a *Array) Pos(i int) (x, y int) {
-	return i % a.cfg.Cols, i / a.cfg.Cols
-}
 
 // Index maps a grid position back to the oscillator index.
 func (a *Array) Index(x, y int) int {
@@ -303,69 +300,98 @@ func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm *No
 	return dst
 }
 
-// MeasureSparseBase is MeasureSparse over a precomputed noise-free
-// frequency vector (BaseCache.For): the per-query hot path of devices
-// whose operating environment is stable across queries, where
-// re-evaluating the three-term frequency model per oscillator per
-// query is pure waste. base[i] must equal TrueFreq(i, env) for the
-// environment the noise belongs to; the result is then bit-identical
-// to MeasureSparse.
-func (a *Array) MeasureSparseBase(dst []float64, idxs []int, base []float64, nm *Noise) []float64 {
-	if len(dst) != a.N() || len(base) != a.N() {
-		panic(fmt.Sprintf("silicon: MeasureSparseBase buffers %d/%d, want %d", len(dst), len(base), a.N()))
+// Probe is the sparse measurement kernel every reconstruction runs
+// per oracle query: the oscillator set a helper references, the
+// frequency buffer it is measured into, and the noise-free frequency
+// vector of the operating point. That vector is a pure function of the
+// array's contents and the environment, so it is keyed on the array
+// pointer, the array's manufacture generation and env: it is rebuilt
+// when the attacker moves the operating point (the tempco attack's
+// temperature sweeps) or a pooled array is remanufactured in place,
+// with no call from the owner. The zero value is ready; not safe for
+// concurrent use.
+type Probe struct {
+	want  []bool
+	idxs  []int
+	dirty bool
+	freq  []float64
+
+	base    []float64
+	baseArr *Array
+	baseGen uint64
+	baseEnv Environment
+}
+
+// Reset empties the oscillator set for an n-oscillator array.
+func (p *Probe) Reset(n int) {
+	if cap(p.want) < n {
+		p.want = make([]bool, n)
 	}
+	if cap(p.idxs) < n {
+		p.idxs = make([]int, 0, n)
+	}
+	p.want = p.want[:n]
+	clear(p.want)
+	p.idxs = p.idxs[:0]
+	p.dirty = false
+}
+
+// Add puts oscillator i in the set; adding a member again is a no-op.
+func (p *Probe) Add(i int) {
+	if !p.want[i] {
+		p.want[i] = true
+		p.dirty = true
+	}
+}
+
+// Indices returns the set ascending, without duplicates — the order
+// MeasureSparse consumes. The slice is Probe-owned and valid until the
+// next Reset.
+func (p *Probe) Indices() []int {
+	if p.dirty {
+		p.idxs = p.idxs[:0]
+		for i, wanted := range p.want {
+			if wanted {
+				p.idxs = append(p.idxs, i)
+			}
+		}
+		p.dirty = false
+	}
+	return p.idxs
+}
+
+// Measure measures the set once in env, drawing len(Indices()) variates
+// from nm, and returns the frequency buffer (length N; entries outside
+// the set are scratch garbage the caller must not read). It is
+// bit-identical to MeasureSparse over Indices() and allocates nothing
+// once the buffers are grown. The set must have been Reset for a.N().
+func (p *Probe) Measure(a *Array, env Environment, nm *Noise) []float64 {
+	n := a.N()
+	if len(p.want) != n {
+		panic(fmt.Sprintf("silicon: Probe reset for %d oscillators, array has %d", len(p.want), n))
+	}
+	idxs := p.Indices()
+	if p.baseArr != a || p.baseGen != a.gen || p.baseEnv != env {
+		if cap(p.base) < n {
+			p.base = make([]float64, n)
+		}
+		p.base = p.base[:n]
+		for i := range p.base {
+			p.base[i] = a.TrueFreq(i, env)
+		}
+		p.baseArr, p.baseGen, p.baseEnv = a, a.gen, env
+	}
+	if cap(p.freq) < n {
+		p.freq = make([]float64, n)
+	}
+	dst := p.freq[:n]
 	nm.fillIndices(dst, idxs)
 	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
 	for _, i := range idxs {
-		dst[i] = quantizeWindow(base[i]+sigma*dst[i], window)
+		dst[i] = quantizeWindow(p.base[i]+sigma*dst[i], window)
 	}
 	return dst
 }
-
-// TrueFreqInto fills dst (length N) with the noise-free frequency of
-// every oscillator in env.
-func (a *Array) TrueFreqInto(dst []float64, env Environment) []float64 {
-	if len(dst) != a.N() {
-		panic(fmt.Sprintf("silicon: TrueFreqInto buffer length %d, want %d", len(dst), a.N()))
-	}
-	for i := range dst {
-		dst[i] = a.TrueFreq(i, env)
-	}
-	return dst
-}
-
-// BaseCache memoizes the noise-free frequency vector of one
-// environment. Devices keep one in their per-oracle scratch: the
-// vector is a pure function of (array, environment), so it stays valid
-// across queries and helper writes, and is rebuilt only when the
-// attacker actually moves the operating point (the tempco attack's
-// temperature sweeps). The zero value is ready; not concurrency-safe.
-type BaseCache struct {
-	env   Environment
-	valid bool
-	base  []float64
-}
-
-// For returns the cached vector for env, rebuilding it on first use or
-// an environment change.
-func (bc *BaseCache) For(a *Array, env Environment) []float64 {
-	if !bc.valid || bc.env != env || len(bc.base) != a.N() {
-		if cap(bc.base) < a.N() {
-			bc.base = make([]float64, a.N())
-		}
-		bc.base = bc.base[:a.N()]
-		a.TrueFreqInto(bc.base, env)
-		bc.env = env
-		bc.valid = true
-	}
-	return bc.base
-}
-
-// Invalidate forces the next For to rebuild. Required when the array's
-// CONTENTS changed under the same pointer (Array.Remanufactured on the
-// device-pool path): For's env+length check cannot see a content
-// change, so the owner of the scratch must invalidate explicitly.
-func (bc *BaseCache) Invalidate() { bc.valid = false }
 
 // MeasureAveragedWith measures every oscillator `reps` times and
 // returns the per-oscillator means — the standard enrollment-time noise

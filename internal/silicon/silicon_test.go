@@ -18,14 +18,12 @@ func TestLayoutIndexing(t *testing.T) {
 		t.Fatalf("layout (%d,%d,%d)", a.N(), a.Rows(), a.Cols())
 	}
 	for i := 0; i < a.N(); i++ {
-		x, y := a.Pos(i)
-		if a.Index(x, y) != i {
-			t.Fatalf("Pos/Index mismatch at %d", i)
+		if a.Index(i%16, i/16) != i {
+			t.Fatalf("Index mismatch at %d", i)
 		}
 	}
-	x, y := a.Pos(17)
-	if x != 1 || y != 1 {
-		t.Fatalf("Pos(17) = (%d,%d), want (1,1) for 16 columns", x, y)
+	if got := a.Index(1, 1); got != 17 {
+		t.Fatalf("Index(1,1) = %d, want 17 for 16 columns", got)
 	}
 }
 

@@ -299,38 +299,18 @@ func resolveBit(info PairInfo, f []float64, tempC float64) bool {
 // helper NVM changes. Not safe for concurrent use — forks get their own
 // zero Scratch.
 type Scratch struct {
-	freq []float64
-	want []bool
-	// idxs is the ascending index list equivalent of want — the sparse
-	// measurement order MeasureSparse consumes, O(k) under the counter
-	// noise model.
-	idxs []int
-	// bases caches the noise-free frequency vector per environment; the
-	// §VI-B attack sweeps temperature, so the cache keys on env.
-	bases silicon.BaseCache
+	// probe holds the oscillators the helper references and the
+	// noise-free frequency vector per environment; the §VI-B attack
+	// sweeps temperature, so the vector keys on env.
+	probe silicon.Probe
+	rep   ecc.Reproducer
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
-	keyLen      int
-	blocks      int
-	block       *ecc.Block
-	// per-measurement buffers.
-	padded    bitvec.Vector
-	corrected bitvec.Vector
-	key       bitvec.Vector
-	ws        ecc.Workspace
+	key         bitvec.Vector
 }
 
 // Invalidate drops the helper-derived caches.
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
-
-// InvalidateSilicon additionally drops the caches derived from the
-// silicon array's contents (the noise-free frequency vectors). Required
-// on the device-pool path, where Array.Remanufactured changes the
-// array's contents under the same pointer; buffer capacity is kept.
-func (sc *Scratch) InvalidateSilicon() {
-	sc.helperValid = false
-	sc.bases.Invalidate()
-}
 
 // refresh (re)builds the helper-derived caches: validation, the subset
 // of oscillators the helper actually references (bad pairs contribute no
@@ -339,49 +319,25 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	if err := ValidateHelper(*h, a.N()); err != nil {
 		return err
 	}
-	if cap(sc.want) < a.N() {
-		sc.want = make([]bool, a.N())
-	}
-	sc.want = sc.want[:a.N()]
-	for i := range sc.want {
-		sc.want[i] = false
-	}
-	sc.keyLen = 0
+	sc.probe.Reset(a.N())
+	keyLen := 0
 	for _, info := range h.Pairs {
 		if info.Class == Bad {
 			continue
 		}
-		sc.keyLen++
-		sc.want[info.Pair.A] = true
-		sc.want[info.Pair.B] = true
+		keyLen++
+		sc.probe.Add(info.Pair.A)
+		sc.probe.Add(info.Pair.B)
 		if info.Class == Cooperating {
 			for _, ref := range []PairInfo{h.Pairs[info.MaskIdx], h.Pairs[info.HelpIdx]} {
-				sc.want[ref.Pair.A] = true
-				sc.want[ref.Pair.B] = true
+				sc.probe.Add(ref.Pair.A)
+				sc.probe.Add(ref.Pair.B)
 			}
 		}
 	}
-	sc.idxs = sc.idxs[:0]
-	for i, wanted := range sc.want {
-		if wanted {
-			sc.idxs = append(sc.idxs, i)
-		}
-	}
-	n := p.Code.N()
-	blocks := (len(h.Pairs) + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(p.Code, blocks)
-		sc.blocks = blocks
-	}
-	if padLen := blocks * n; sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.corrected = bitvec.New(padLen)
-	}
-	if sc.key.Len() != sc.keyLen {
-		sc.key = bitvec.New(sc.keyLen)
+	sc.rep.Resize(p.Code, len(h.Pairs))
+	if sc.key.Len() != keyLen {
+		sc.key = bitvec.New(keyLen)
 	}
 	sc.helperValid = true
 	return nil
@@ -397,7 +353,7 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 //
 // It runs against caller-owned scratch state, the devices' per-query
 // hot path: only the helper-referenced oscillators are measured
-// (MeasureSparse, O(k) noise draws). The returned key is scratch-owned
+// (silicon.Probe, O(k) noise draws). The returned key is scratch-owned
 // and valid until the next call.
 func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
 	if !sc.helperValid {
@@ -405,13 +361,9 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			return bitvec.Vector{}, err
 		}
 	}
-	if cap(sc.freq) < a.N() {
-		sc.freq = make([]float64, a.N())
-	}
-	f := a.MeasureSparseBase(sc.freq[:a.N()], sc.idxs, sc.bases.For(a, env), nm)
+	f := sc.probe.Measure(a, env, nm)
 	t := env.TempC
-	sc.padded.Zero()
-	bits := sc.padded
+	bits := sc.rep.Stream()
 	for i, info := range h.Pairs {
 		switch info.Class {
 		case Bad:
@@ -434,10 +386,11 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			bits.Set(i, resolveBit(help, f, t) != pairing.ResponseBit(f, mask.Pair))
 		}
 	}
-	if sc.padded.Len() != h.Offset.Len() {
-		return bitvec.Vector{}, fmt.Errorf("tempco: offset length %d, stream %d", h.Offset.Len(), sc.padded.Len())
+	if bits.Len() != h.Offset.Len() {
+		return bitvec.Vector{}, fmt.Errorf("tempco: offset length %d, stream %d", h.Offset.Len(), bits.Len())
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: h.Offset}, sc.padded, &sc.ws, sc.corrected); !ok {
+	corrected, ok := sc.rep.Reproduce(h.Offset)
+	if !ok {
 		return bitvec.Vector{}, ErrReconstructFailed
 	}
 	keyAt := 0
@@ -445,7 +398,7 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 		if info.Class == Bad {
 			continue
 		}
-		sc.key.Set(keyAt, sc.corrected.Get(i))
+		sc.key.Set(keyAt, corrected.Get(i))
 		keyAt++
 	}
 	return sc.key, nil
