@@ -55,14 +55,20 @@ func init() {
 	Register(chainAttack{})
 }
 
-// distillerDefaults fills the §VI-D tuning defaults.
+// The §VI-D injected pattern: the quadratic valley's steepness and the
+// orthogonal tilt that pins every pair off the valley line.
+const (
+	distillerPatternAmpMHz = 500
+	distillerTiltMHz       = 80
+)
+
+// distillerSeed seeds the distiller attacks' own randomness (codeword
+// draws), so two runs consume identical attack-side randomness.
+const distillerSeed = 0xd15711
+
+// distillerDefaults clamps the common error offset to the code's radius
+// t (0 means the full radius).
 func distillerDefaults(opts Options, t int) Options {
-	if opts.PatternAmpMHz <= 0 {
-		opts.PatternAmpMHz = 500
-	}
-	if opts.TiltMHz <= 0 {
-		opts.TiltMHz = 80
-	}
 	if opts.InjectErrors <= 0 || opts.InjectErrors > t {
 		opts.InjectErrors = t
 	}
@@ -118,7 +124,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	defer func() { _ = t.WriteImage(originalImage) }()
 
 	opts = distillerDefaults(opts, spec.Code.T())
-	src := opts.source(0xd15711)
+	src := rng.New(distillerSeed)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -167,7 +173,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, k int, base []pairing.Pair, opts Options, src *rng.Source, budget *Budget, sc *dsScratch, target int) (bool, error) {
 	pos := func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }
 	tp := base[target]
-	pattern := valleyForPair(pos, tp, opts)
+	pattern := valleyForPair(pos, tp)
 
 	pval := func(ro int) float64 {
 		x, y := pos(ro)
@@ -304,7 +310,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	defer func() { _ = t.WriteImage(originalImage) }()
 
 	opts = distillerDefaults(opts, spec.Code.T())
-	src := opts.source(0xd15711)
+	src := rng.New(distillerSeed)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -332,9 +338,9 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	for bi, bd := range bounds {
 		var pattern distiller.Poly2D
 		if bd.vertical {
-			pattern = distiller.QuadraticValleyX(bd.at, opts.PatternAmpMHz).Add(distiller.Plane(0, 0, opts.TiltMHz))
+			pattern = distiller.QuadraticValleyX(bd.at, distillerPatternAmpMHz).Add(distiller.Plane(0, 0, distillerTiltMHz))
 		} else {
-			pattern = distiller.QuadraticValleyY(bd.at, opts.PatternAmpMHz).Add(distiller.Plane(0, opts.TiltMHz, 0))
+			pattern = distiller.QuadraticValleyY(bd.at, distillerPatternAmpMHz).Add(distiller.Plane(0, distillerTiltMHz, 0))
 		}
 		pval := func(ro int) float64 {
 			x, y := pos(ro)
@@ -436,10 +442,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 // ascending order here is observably identical.
 func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPos int, code ecc.Code, opts Options, src *rng.Source, hypBits []int) ([]byte, bitvec.Vector, error) {
 	n := code.N()
-	blocks := (stream.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
+	blocks := ecc.Blocks(code, stream.Len())
 	padded := scratchVec(&sc.padded, blocks*n)
 	padded.Zero()
 	padded.PutAt(0, stream)
@@ -500,19 +503,19 @@ func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPo
 // valleyForPair builds the Fig. 6b pattern for one target pair: a
 // quadratic valley centered between the pair's oscillators along their
 // separation axis plus an orthogonal tilt.
-func valleyForPair(pos func(int) (int, int), tp pairing.Pair, opts Options) distiller.Poly2D {
+func valleyForPair(pos func(int) (int, int), tp pairing.Pair) distiller.Poly2D {
 	xa, ya := pos(tp.A)
 	xb, yb := pos(tp.B)
 	if ya == yb {
 		// Horizontal pair: valley in x centered between them, tilt in y.
-		return distiller.QuadraticValleyX((float64(xa)+float64(xb))/2, opts.PatternAmpMHz).
-			Add(distiller.Plane(0, 0, opts.TiltMHz))
+		return distiller.QuadraticValleyX((float64(xa)+float64(xb))/2, distillerPatternAmpMHz).
+			Add(distiller.Plane(0, 0, distillerTiltMHz))
 	}
 	if xa == xb {
-		return distiller.QuadraticValleyY((float64(ya)+float64(yb))/2, opts.PatternAmpMHz).
-			Add(distiller.Plane(0, opts.TiltMHz, 0))
+		return distiller.QuadraticValleyY((float64(ya)+float64(yb))/2, distillerPatternAmpMHz).
+			Add(distiller.Plane(0, distillerTiltMHz, 0))
 	}
 	// Diagonal pairs do not occur on neighbor chains; fall back to the
 	// perpendicular plane (levels tie along the perpendicular axis).
-	return distiller.PerpendicularPlane(xa, ya, xb, yb, opts.PatternAmpMHz)
+	return distiller.PerpendicularPlane(xa, ya, xb, yb, distillerPatternAmpMHz)
 }

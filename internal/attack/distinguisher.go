@@ -74,8 +74,6 @@ type Distinguisher struct {
 	P0, P1 float64
 	// Alpha and Beta are the designed SPRT error probabilities.
 	Alpha, Beta float64
-	// MaxQueries caps a single SPRT run; 0 means 64 * Queries.
-	MaxQueries int
 }
 
 // DefaultDistinguisher returns a sequential distinguisher with
@@ -111,9 +109,6 @@ func (d Distinguisher) normalized() Distinguisher {
 	if d.P0 >= d.P1 {
 		// Degenerate calibration; fall back to something sane.
 		d.P0, d.P1 = 0.05, 0.95
-	}
-	if d.MaxQueries <= 0 {
-		d.MaxQueries = 64 * d.Queries
 	}
 	return d
 }
@@ -183,12 +178,16 @@ func observe(t Target, h Hypothesis) bool {
 	return t.Query()
 }
 
+// sprtCapMultiple caps a single SPRT run at this multiple of Queries.
+const sprtCapMultiple = 64
+
 // sprt runs Wald's SPRT on one arm against t until it decides or spends
-// d.MaxQueries, installing the hypothesis before every query.
+// sprtCapMultiple * d.Queries, installing the hypothesis before
+// every query.
 func (d Distinguisher) sprt(ctx context.Context, t Target, h Hypothesis, b *Budget) armResult {
 	s := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta)
 	decision := stats.SPRTContinue
-	for decision == stats.SPRTContinue && s.N() < d.MaxQueries {
+	for decision == stats.SPRTContinue && s.N() < sprtCapMultiple*d.Queries {
 		if err := queryGate(ctx, b); err != nil {
 			return armResult{n: s.N(), err: err}
 		}
@@ -263,23 +262,27 @@ func (c Calibration) Apply(d Distinguisher) Distinguisher {
 	return d.normalized()
 }
 
+// calibrationQueries sizes each of the two rate estimates of calibrate.
+const calibrationQueries = 24
+
 // calibrate installs the nominal injection and estimates its failure
-// rate over n queries, then does the same for the elevated injection,
-// and returns the calibration with the distinguisher tuned to it. Each
-// injection is installed once, before its n queries.
-func calibrate(ctx context.Context, t Target, nominal, elevated Hypothesis, n int, b *Budget, dist Distinguisher) (Calibration, Distinguisher, error) {
+// rate over calibrationQueries queries, then does the same for the
+// elevated injection, and returns the calibration with the
+// distinguisher tuned to it. Each injection is installed once, before
+// its queries.
+func calibrate(ctx context.Context, t Target, nominal, elevated Hypothesis, b *Budget, dist Distinguisher) (Calibration, Distinguisher, error) {
 	queryArm := Arm(t.Query)
 	var rates [2]float64
 	for i, h := range [2]Hypothesis{nominal, elevated} {
 		if err := h(t); err != nil {
 			return Calibration{}, Distinguisher{}, err
 		}
-		p, err := estimateRate(ctx, queryArm, n, b)
+		p, err := estimateRate(ctx, queryArm, calibrationQueries, b)
 		if err != nil {
 			return Calibration{}, Distinguisher{}, err
 		}
 		rates[i] = p
 	}
-	cal := Calibration{PNominal: rates[0], PElevated: rates[1], Queries: 2 * n}
+	cal := Calibration{PNominal: rates[0], PElevated: rates[1], Queries: 2 * calibrationQueries}
 	return cal, cal.Apply(dist), nil
 }

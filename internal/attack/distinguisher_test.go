@@ -109,7 +109,7 @@ func TestBestSequentialFallsBack(t *testing.T) {
 	// Two arms both failing often: no arm accepted at the nominal rate,
 	// the fallback must still return a decision.
 	for name, tgt := range backends(t, 3) {
-		d := Distinguisher{Strategy: Sequential, Queries: 10, P0: 0.02, P1: 0.5, Alpha: 0.01, Beta: 0.01, MaxQueries: 50}
+		d := Distinguisher{Strategy: Sequential, Queries: 10, P0: 0.02, P1: 0.5, Alpha: 0.01, Beta: 0.01}
 		best, q := pickBest(t, d, tgt, []Hypothesis{coin(0.95), coin(0.95)})
 		if best != 0 && best != 1 {
 			t.Fatalf("%s: best = %d", name, best)

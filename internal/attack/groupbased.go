@@ -72,10 +72,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
 
-	if opts.PatternAmpMHz <= 0 {
-		opts.PatternAmpMHz = 1000
-	}
-	src := opts.source(0xa77ac4)
+	src := rng.New(groupBasedSeed)
 	tcap := spec.Code.T()
 	if opts.InjectErrors <= 0 || opts.InjectErrors > tcap {
 		opts.InjectErrors = tcap
@@ -246,7 +243,7 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 	xa, ya := a%cols, a/cols
 	xb, yb := b%cols, b/cols
 
-	pattern, levels := levelPlane(sc, cols, rows, xa, ya, xb, yb, opts.PatternAmpMHz)
+	pattern, levels := levelPlane(sc, cols, rows, xa, ya, xb, yb)
 	designPartition(sc, n, a, b, levels)
 
 	// The partition covers every oscillator exactly once by
@@ -292,11 +289,11 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 		if count < opts.InjectErrors {
 			return nil, fmt.Errorf("attack: only %d injectable bits in block", count)
 		}
-		padLen := paddedLen(streamLen, spec.Code)
+		blocks := ecc.Blocks(spec.Code, streamLen)
+		padLen := blocks * spec.Code.N()
 		padded := scratchVec(&sc.padded, padLen)
 		padded.Zero()
 		padded.PutAt(0, injected)
-		blocks := padLen / spec.Code.N()
 		if sc.block == nil || sc.blocks != blocks {
 			sc.block = ecc.NewBlock(spec.Code, blocks)
 			sc.blocks = blocks
@@ -349,12 +346,19 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 	return best == 1, nil
 }
 
+// groupBasedPatternAmpMHz is the steepness of the injected level plane.
+const groupBasedPatternAmpMHz = 1000
+
+// groupBasedSeed seeds the attack's own randomness (codeword draws), so
+// two runs consume identical attack-side randomness.
+const groupBasedSeed = 0xa77ac4
+
 // levelPlane returns the steep plane whose level lines pass through both
 // targets, together with the integer level key of every oscillator
 // (equal keys = equal pattern values, exactly). The level slice lives in
 // the run scratch.
-func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int, amp float64) (distiller.Poly2D, []int) {
-	pattern := distiller.PerpendicularPlane(xa, ya, xb, yb, amp)
+func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int) (distiller.Poly2D, []int) {
+	pattern := distiller.PerpendicularPlane(xa, ya, xb, yb, groupBasedPatternAmpMHz)
 	nx, ny := -(yb - ya), xb-xa
 	levels := resizeInts(&sc.levels, rows*cols)
 	for i := range levels {
@@ -492,19 +496,13 @@ func polishWithOriginalOffset(key, offset bitvec.Vector, code ecc.Code) bitvec.V
 	if offset.Len() == 0 || offset.Len()%code.N() != 0 || key.Len() > offset.Len() {
 		return key
 	}
-	padded := key.Concat(bitvec.New(offset.Len() - key.Len()))
-	block := ecc.NewBlock(code, offset.Len()/code.N())
-	if corrected, _, ok := ecc.Reproduce(block, ecc.Offset{W: offset}, padded); ok {
+	// The offset is a whole number of blocks, so laying the code over
+	// offset.Len() bits reproduces its layout exactly.
+	var rep ecc.Reproducer
+	rep.Resize(code, offset.Len())
+	rep.Stream().PutAt(0, key)
+	if corrected, ok := rep.Reproduce(offset); ok {
 		return corrected.Slice(0, key.Len())
 	}
 	return key
-}
-
-func paddedLen(streamLen int, code ecc.Code) int {
-	n := code.N()
-	blocks := (streamLen + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return blocks * n
 }

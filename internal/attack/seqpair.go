@@ -2,13 +2,13 @@ package attack
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
 	"repro/internal/helperdata"
+	"repro/internal/pairing"
 )
 
 func init() { Register(seqPairAttack{}) }
@@ -59,9 +59,6 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	if opts.InjectErrors <= 0 || opts.InjectErrors > radius {
 		opts.InjectErrors = radius
 	}
-	if opts.CalibrationQueries <= 0 {
-		opts.CalibrationQueries = 24
-	}
 	blockLen := code.N()
 	// Every test focuses on ECC block 0: the reference pair 0 lives
 	// there, and injections must share its block to add up.
@@ -86,11 +83,9 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 		return Report{}, err
 	}
 	imageWith := func(buf []byte, invert []int, a, b int) (*helperdata.Image, []byte) {
-		// Marshal the manipulated pair list directly (same wire format
-		// as SeqPairHelper.Marshal), applying the swaps on the fly
-		// instead of cloning the list first.
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(m))
-		for idx := 0; idx < m; idx++ {
+		// Marshal the manipulated pair list directly, applying the
+		// swaps on the fly instead of cloning the list first.
+		buf = pairing.AppendSeqPairs(buf, m, func(idx int) pairing.Pair {
 			src := idx
 			if a != b {
 				if idx == a {
@@ -103,9 +98,8 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			if slices.Contains(invert, src) {
 				p = p.Swapped()
 			}
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(p.A))
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(p.B))
-		}
+			return p
+		})
 		im := helperdata.NewImage()
 		im.SetOwned(helperdata.SectionSeqPairs, buf)
 		im.SetOwned(helperdata.SectionOffset, offsetBytes)
@@ -162,7 +156,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			break
 		}
 	}
-	cal, dist, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), opts.CalibrationQueries, budget, opts.Dist)
+	cal, dist, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), budget, opts.Dist)
 	if err != nil {
 		return Report{}, err
 	}
@@ -228,9 +222,8 @@ func resolveComplement(code ecc.Code, offset bitvec.Vector, cand0, cand1 bitvec.
 	pad := func(v bitvec.Vector) bitvec.Vector {
 		return v.Concat(bitvec.New(offset.Len() - v.Len()))
 	}
-	off := ecc.Offset{W: offset}
-	ok0 := ecc.ConsistentWith(block, off, pad(cand0))
-	ok1 := ecc.ConsistentWith(block, off, pad(cand1))
+	ok0 := ecc.ConsistentWith(block, offset, pad(cand0))
+	ok1 := ecc.ConsistentWith(block, offset, pad(cand1))
 	switch {
 	case ok0 && !ok1:
 		return cand0, false

@@ -214,7 +214,7 @@ func TestChaosCheckpointDegradation(t *testing.T) {
 	metrics := readBody(t, mresp)
 	for _, want := range []string{
 		"campaignd_checkpoint_errors_total",
-		"campaignd_lost_durability_shards 4",
+		"campaignd_lost_durability_shards_total 4",
 		"campaignd_degraded 1",
 	} {
 		if !strings.Contains(metrics, want) {

@@ -309,9 +309,17 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 		`campaignd_jobs{state="done"} 1`,
 		fmt.Sprintf("campaignd_job_shards_done{job=%q,task=%q} 2", st.ID, "campaignd-test-walk"),
 		fmt.Sprintf("campaignd_job_shards_total{job=%q,task=%q} 2", st.ID, "campaignd-test-walk"),
+		"campaignd_shards_quarantined_total 0",
+		"campaignd_lost_durability_shards_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
+		}
+	}
+	// Prometheus naming: every counter ends in _total.
+	for _, line := range strings.Split(body, "\n") {
+		if name, ok := strings.CutSuffix(line, " counter"); ok && !strings.HasSuffix(name, "_total") {
+			t.Errorf("counter without the _total suffix: %q", line)
 		}
 	}
 }

@@ -32,24 +32,12 @@ type Options struct {
 	// for operational rate-limiting and for tests that must observe a
 	// job mid-sweep; it has no effect on results.
 	Throttle time.Duration
-	// MaxShardAttempts bounds how many times a failing shard (task
-	// error or recovered panic) is executed before it is quarantined
-	// (0 = DefaultShardAttempts). Because outcomes are pure functions of
-	// (base seed, task index), a retry that succeeds is byte-identical
-	// to a first-try success.
-	MaxShardAttempts int
 	// RetryBackoff is the base of the exponential shard-retry backoff
 	// (0 = DefaultRetryBackoff); successive attempts double it, capped
 	// at RetryMaxBackoff (0 = DefaultRetryMaxBackoff), with
 	// deterministic per-(shard, attempt) jitter in [0.5x, 1.5x).
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
-	// CheckpointAttempts bounds the write+fsync attempts per checkpoint
-	// record (0 = DefaultCheckpointAttempts). When the budget is
-	// exhausted the shard's durability is abandoned — the job keeps
-	// running in memory, /healthz turns degraded, and the shard re-runs
-	// after a restart.
-	CheckpointAttempts int
 	// CheckpointBackoff is the pause between checkpoint write attempts
 	// (0 = DefaultCheckpointBackoff).
 	CheckpointBackoff time.Duration
@@ -62,16 +50,13 @@ const (
 	// DefaultShardSize is the seeds-per-shard used when neither the spec
 	// nor the daemon names one.
 	DefaultShardSize = 8
-	// DefaultShardAttempts is the per-shard execution budget.
-	DefaultShardAttempts = 3
 	// DefaultRetryBackoff / DefaultRetryMaxBackoff shape the shard-retry
 	// exponential backoff.
 	DefaultRetryBackoff    = 25 * time.Millisecond
 	DefaultRetryMaxBackoff = time.Second
-	// DefaultCheckpointAttempts / DefaultCheckpointBackoff shape the
-	// checkpoint-write retry.
-	DefaultCheckpointAttempts = 3
-	DefaultCheckpointBackoff  = 10 * time.Millisecond
+	// DefaultCheckpointBackoff is the pause between checkpoint write
+	// attempts.
+	DefaultCheckpointBackoff = 10 * time.Millisecond
 )
 
 // Manager owns the job table, the per-job shard schedulers, and the
@@ -137,17 +122,11 @@ func New(opts Options) (*Manager, error) {
 	if opts.ShardSize <= 0 {
 		opts.ShardSize = DefaultShardSize
 	}
-	if opts.MaxShardAttempts <= 0 {
-		opts.MaxShardAttempts = DefaultShardAttempts
-	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
 	if opts.RetryMaxBackoff <= 0 {
 		opts.RetryMaxBackoff = DefaultRetryMaxBackoff
-	}
-	if opts.CheckpointAttempts <= 0 {
-		opts.CheckpointAttempts = DefaultCheckpointAttempts
 	}
 	if opts.CheckpointBackoff <= 0 {
 		opts.CheckpointBackoff = DefaultCheckpointBackoff
@@ -472,6 +451,12 @@ func (m *Manager) start(j *job) {
 	}()
 }
 
+// maxShardAttempts bounds how many times a failing shard (task error or
+// recovered panic) is executed before it is quarantined. Because
+// outcomes are pure functions of (base seed, task index), a retry that
+// succeeds is byte-identical to a first-try success.
+const maxShardAttempts = 3
+
 // runShardResilient is one shard's full fault envelope: each execution
 // attempt runs under a panic-recovery scope (a panicking task becomes a
 // *campaign.PanicError carrying the stack, never a dead daemon), task
@@ -481,9 +466,8 @@ func (m *Manager) start(j *job) {
 // silently. Cancellation and shutdown are never retried or quarantined:
 // they propagate so the scheduler can stop.
 func (m *Manager) runShardResilient(ctx context.Context, j *job, s int) error {
-	attempts := m.opts.MaxShardAttempts
 	var last error
-	for attempt := 1; attempt <= attempts; attempt++ {
+	for attempt := 1; attempt <= maxShardAttempts; attempt++ {
 		var outs []campaign.Outcome
 		err := campaign.Call(func() error {
 			var rerr error
@@ -503,11 +487,11 @@ func (m *Manager) runShardResilient(ctx context.Context, j *job, s int) error {
 		if errors.As(err, &pe) {
 			m.counters.panicsRecovered.Add(1)
 			m.logf("campaignd: job %s shard %d attempt %d/%d panicked: %v\n%s",
-				j.id, s, attempt, attempts, pe.Value, pe.Stack)
+				j.id, s, attempt, maxShardAttempts, pe.Value, pe.Stack)
 		} else {
-			m.logf("campaignd: job %s shard %d attempt %d/%d failed: %v", j.id, s, attempt, attempts, err)
+			m.logf("campaignd: job %s shard %d attempt %d/%d failed: %v", j.id, s, attempt, maxShardAttempts, err)
 		}
-		if attempt < attempts {
+		if attempt < maxShardAttempts {
 			m.counters.shardRetries.Add(1)
 			if !sleepCtx(ctx, retryBackoff(m.opts.RetryBackoff, m.opts.RetryMaxBackoff, j.spec.BaseSeed, s, attempt)) {
 				return ctx.Err()
@@ -557,7 +541,7 @@ func (m *Manager) quarantineShard(j *job, s int, err error) {
 	j.quarantined[s] = summary
 	j.mu.Unlock()
 	m.counters.shardsQuarantined.Add(1)
-	m.logf("campaignd: job %s shard %d quarantined after %d attempts: %s", j.id, s, m.opts.MaxShardAttempts, summary)
+	m.logf("campaignd: job %s shard %d quarantined after %d attempts: %s", j.id, s, maxShardAttempts, summary)
 }
 
 // firstLine trims an error message to its first line — panic errors
@@ -602,6 +586,10 @@ func (m *Manager) runShard(ctx context.Context, j *job, s int) ([]campaign.Outco
 	return outs, nil
 }
 
+// checkpointAttempts bounds the write+fsync attempts per checkpoint
+// record; past it the shard's durability is abandoned.
+const checkpointAttempts = 3
+
 // completeShard checkpoints a finished shard, folds it into the
 // streaming partial, and notifies subscribers. A checkpoint write that
 // keeps failing past the retry budget degrades durability instead of
@@ -617,7 +605,7 @@ func (m *Manager) completeShard(j *job, s int, outs []campaign.Outcome) error {
 		return fmt.Errorf("campaignd: job %s checkpoint closed", j.id)
 	}
 	durable := false
-	for attempt := 1; attempt <= m.opts.CheckpointAttempts; attempt++ {
+	for attempt := 1; attempt <= checkpointAttempts; attempt++ {
 		n, err := j.ckpt.appendShard(s, from, to, outs)
 		if err == nil {
 			m.counters.checkpointBytes.Add(int64(n))
@@ -626,8 +614,8 @@ func (m *Manager) completeShard(j *job, s int, outs []campaign.Outcome) error {
 		}
 		m.counters.checkpointErrors.Add(1)
 		m.logf("campaignd: job %s shard %d checkpoint attempt %d/%d: %v",
-			j.id, s, attempt, m.opts.CheckpointAttempts, err)
-		if attempt < m.opts.CheckpointAttempts {
+			j.id, s, attempt, checkpointAttempts, err)
+		if attempt < checkpointAttempts {
 			sleepCtx(m.ctx, time.Duration(attempt)*m.opts.CheckpointBackoff)
 		}
 	}
@@ -659,7 +647,7 @@ func (m *Manager) finish(j *job, err error) {
 	switch {
 	case err == nil && len(j.quarantined) > 0:
 		// Every schedulable shard ran; the poison ones are enumerated.
-		j.state, j.errMsg = StateQuarantined, quarantineMessage(j.quarantined, m.opts.MaxShardAttempts)
+		j.state, j.errMsg = StateQuarantined, quarantineMessage(j.quarantined, maxShardAttempts)
 	case err == nil:
 		res, ferr := campaign.Finalize(j.spec.campaignSpec(), j.outcomes)
 		if ferr != nil {

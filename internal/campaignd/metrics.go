@@ -48,14 +48,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "campaignd_http_requests_total %d\n", c.httpRequests.Load())
 	fmt.Fprintf(w, "# TYPE campaignd_shard_retries_total counter\n")
 	fmt.Fprintf(w, "campaignd_shard_retries_total %d\n", c.shardRetries.Load())
-	fmt.Fprintf(w, "# TYPE campaignd_shards_quarantined counter\n")
-	fmt.Fprintf(w, "campaignd_shards_quarantined %d\n", c.shardsQuarantined.Load())
+	fmt.Fprintf(w, "# TYPE campaignd_shards_quarantined_total counter\n")
+	fmt.Fprintf(w, "campaignd_shards_quarantined_total %d\n", c.shardsQuarantined.Load())
 	fmt.Fprintf(w, "# TYPE campaignd_panics_recovered_total counter\n")
 	fmt.Fprintf(w, "campaignd_panics_recovered_total %d\n", c.panicsRecovered.Load())
 	fmt.Fprintf(w, "# TYPE campaignd_checkpoint_errors_total counter\n")
 	fmt.Fprintf(w, "campaignd_checkpoint_errors_total %d\n", c.checkpointErrors.Load())
-	fmt.Fprintf(w, "# TYPE campaignd_lost_durability_shards counter\n")
-	fmt.Fprintf(w, "campaignd_lost_durability_shards %d\n", c.lostDurabilityShards.Load())
+	fmt.Fprintf(w, "# TYPE campaignd_lost_durability_shards_total counter\n")
+	fmt.Fprintf(w, "campaignd_lost_durability_shards_total %d\n", c.lostDurabilityShards.Load())
 
 	h := s.m.Health()
 	fmt.Fprintf(w, "# TYPE campaignd_degraded gauge\n")

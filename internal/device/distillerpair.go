@@ -204,7 +204,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	padded, blocks := ecc.PadToBlocks(resp, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
 	off := ecc.EnrollOffset(block, padded, srcRun)
-	d.nvm = DistillerPairHelperNVM{Poly: poly, Masking: mask, Offset: off.W}
+	d.nvm = DistillerPairHelperNVM{Poly: poly, Masking: mask, Offset: off}
 	d.enrolled = resp
 	d.bound = resp
 	d.scratch.helperValid = false

@@ -109,7 +109,7 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 	d.base.reset(env)
 	d.arr = arr
 	d.params = p
-	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off.W}
+	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off}
 	d.key = resp
 	d.noise = noise
 	d.scratch.helperValid = false

@@ -97,7 +97,7 @@ func NewBCH(cfg BCHConfig) (*BCH, error) {
 	numSynd := 2 * cfg.T
 	if cfg.Expurgate {
 		// Designed distance grows by one; the extra syndrome S_0 is the
-		// overall parity, checked separately in Decode.
+		// overall parity, checked separately in DecodeInto.
 		numSynd = 2 * cfg.T
 	}
 	// Precompute the generator's support (EncodeInto reduces modulo g
@@ -175,40 +175,14 @@ func (b *BCH) K() int { return b.k }
 // T returns the design correction radius.
 func (b *BCH) T() int { return b.t }
 
-// Encode performs systematic encoding: the message occupies coefficient
-// positions n-k..n-1 of the transmitted word and the parity, the remainder
-// of x^(fullN-fullK) * u(x) modulo g(x), occupies positions 0..n-k-1.
-func (b *BCH) Encode(msg bitvec.Vector) bitvec.Vector {
-	checkLen("message", msg.Len(), b.k)
-	parityLen := b.fullN - (b.k + b.shorten) // = deg g
-	// Build x^(deg g) * u(x) over the full length; shortened positions
-	// (the top b.shorten message slots) are implicitly zero.
-	shifted := make(galois.Poly, b.fullN)
-	for i := 0; i < b.k; i++ {
-		if msg.Get(i) {
-			shifted[parityLen+i] = 1
-		}
-	}
-	_, rem := b.field.PolyDivMod(shifted, b.gen)
-	out := bitvec.New(b.n)
-	for i := 0; i < parityLen && i < len(rem); i++ {
-		if rem[i] != 0 {
-			out.Set(i, true)
-		}
-	}
-	for i := 0; i < b.k; i++ {
-		if msg.Get(i) {
-			out.Set(parityLen+i, true)
-		}
-	}
-	return out
-}
-
-// EncodeInto implements IntoEncoder: systematic encoding into a
-// caller-owned dst of length N with no steady-state allocations. The
-// parity computation reduces x^(deg g) * u(x) modulo g in the workspace's
-// polynomial buffer — GF(2) coefficients, so cancellation is an XOR over
-// the generator's support. Output is bit-identical to Encode.
+// EncodeInto performs systematic encoding into dst: the message occupies
+// coefficient positions n-k..n-1 of the transmitted word and the parity,
+// the remainder of x^(fullN-fullK) * u(x) modulo g(x), occupies
+// positions 0..n-k-1. The remainder is reduced in place in the
+// workspace's polynomial buffer — GF(2) coefficients, so cancellation
+// is an XOR over the generator's support — with no steady-state
+// allocations. Shortened positions (the top b.shorten message slots)
+// are implicitly zero.
 func (b *BCH) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), b.k)
 	checkLen("encode buffer", dst.Len(), b.n)
@@ -241,13 +215,6 @@ func (b *BCH) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	}
 }
 
-// Message extracts the systematic message bits from a codeword.
-func (b *BCH) Message(codeword bitvec.Vector) bitvec.Vector {
-	checkLen("codeword", codeword.Len(), b.n)
-	parityLen := b.fullN - (b.k + b.shorten)
-	return codeword.Slice(parityLen, b.n)
-}
-
 // syndromesInto computes S_1..S_numSynd where S_j = r(alpha^j) into the
 // caller's buffer, growing it only when too small. With the precomputed
 // power table the per-set-bit work is numSynd table XORs; the Exp
@@ -271,23 +238,12 @@ func (b *BCH) syndromesInto(buf []galois.Elem, received bitvec.Vector) []galois.
 	return synd
 }
 
-// Decode corrects up to t errors. Failure (ok=false) is returned when the
-// Berlekamp-Massey locator is inconsistent with the Chien-search root
-// count, when an error lands in a shortened position, or when the
-// corrected word still has nonzero syndromes. Expurgated codes also check
-// overall parity, which detects one extra error.
-func (b *BCH) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
-	var ws Workspace
-	dst := bitvec.New(b.n)
-	corrected, ok := b.DecodeInto(&ws, received, dst)
-	if !ok {
-		return received, corrected, false
-	}
-	return dst, corrected, true
-}
-
-// DecodeInto implements IntoDecoder: Decode into a caller-owned dst of
-// length N using workspace scratch, with no steady-state allocations.
+// DecodeInto corrects up to t errors with no steady-state allocations.
+// Failure (ok=false) is returned when the Berlekamp-Massey locator is
+// inconsistent with the Chien-search root count, when an error lands in
+// a shortened position, or when the corrected word still has nonzero
+// syndromes. Expurgated codes also check overall parity, which detects
+// one extra error.
 func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.n)
 	checkLen("decode buffer", dst.Len(), b.n)

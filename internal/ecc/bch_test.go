@@ -71,14 +71,14 @@ func TestBCHEncodeProducesCodeword(t *testing.T) {
 		b := MustBCH(cfg)
 		for trial := 0; trial < 20; trial++ {
 			msg := randMsg(r, b.K())
-			cw := b.Encode(msg)
+			cw := encode(b, msg)
 			if cw.Len() != b.N() {
 				t.Fatalf("%s: codeword length %d", b, cw.Len())
 			}
 			if !IsCodeword(b, cw) {
-				t.Fatalf("%s: Encode output not a codeword", b)
+				t.Fatalf("%s: encoder output not a codeword", b)
 			}
-			if !b.Message(cw).Equal(msg) {
+			if !systematic(b, cw).Equal(msg) {
 				t.Fatalf("%s: systematic extraction failed", b)
 			}
 		}
@@ -92,10 +92,10 @@ func TestBCHCorrectsUpToT(t *testing.T) {
 		for e := 0; e <= b.T(); e++ {
 			for trial := 0; trial < 10; trial++ {
 				msg := randMsg(r, b.K())
-				cw := b.Encode(msg)
+				cw := encode(b, msg)
 				recv := cw.Clone()
 				flipRandom(r, recv, e)
-				dec, corrected, ok := b.Decode(recv)
+				dec, corrected, ok := decode(b, recv)
 				if !ok {
 					t.Fatalf("%s: decode failed at %d <= t errors", b, e)
 				}
@@ -122,10 +122,10 @@ func TestBCHBeyondTFailsOrMiscorrects(t *testing.T) {
 	misses := 0
 	for trial := 0; trial < 200; trial++ {
 		msg := randMsg(r, b.K())
-		cw := b.Encode(msg)
+		cw := encode(b, msg)
 		recv := cw.Clone()
 		flipRandom(r, recv, b.T()+1)
-		dec, _, ok := b.Decode(recv)
+		dec, _, ok := decode(b, recv)
 		if ok && dec.Equal(cw) {
 			misses++
 		}
@@ -146,14 +146,14 @@ func TestBCHShortened(t *testing.T) {
 	}
 	for e := 0; e <= b.T(); e++ {
 		msg := randMsg(r, b.K())
-		cw := b.Encode(msg)
+		cw := encode(b, msg)
 		recv := cw.Clone()
 		flipRandom(r, recv, e)
-		dec, corrected, ok := b.Decode(recv)
+		dec, corrected, ok := decode(b, recv)
 		if !ok || corrected != e || !dec.Equal(cw) {
 			t.Fatalf("shortened decode failed at %d errors", e)
 		}
-		if !b.Message(dec).Equal(msg) {
+		if !systematic(b, dec).Equal(msg) {
 			t.Fatal("shortened message extraction failed")
 		}
 	}
@@ -180,17 +180,17 @@ func TestBCHExpurgatedParityDetection(t *testing.T) {
 	r := rng.New(5)
 	b := MustBCH(BCHConfig{M: 5, T: 2, Expurgate: true})
 	for trial := 0; trial < 50; trial++ {
-		cw := b.Encode(randMsg(r, b.K()))
+		cw := encode(b, randMsg(r, b.K()))
 		if cw.Weight()%2 != 0 {
 			t.Fatalf("expurgated codeword has odd weight %d", cw.Weight())
 		}
 	}
 	// Still corrects t errors.
 	for e := 0; e <= b.T(); e++ {
-		cw := b.Encode(randMsg(r, b.K()))
+		cw := encode(b, randMsg(r, b.K()))
 		recv := cw.Clone()
 		flipRandom(r, recv, e)
-		dec, _, ok := b.Decode(recv)
+		dec, _, ok := decode(b, recv)
 		if !ok || !dec.Equal(cw) {
 			t.Fatalf("expurgated decode failed at %d errors", e)
 		}
@@ -211,7 +211,7 @@ func TestBCHLinearityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m1, m2 := randMsg(r, b.K()), randMsg(r, b.K())
-		return b.Encode(m1).Xor(b.Encode(m2)).Equal(b.Encode(m1.Xor(m2)))
+		return encode(b, m1).Xor(encode(b, m2)).Equal(encode(b, m1.Xor(m2)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -223,10 +223,10 @@ func TestBCHDecodeRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, eRaw uint8) bool {
 		r := rng.New(seed)
 		e := int(eRaw) % (b.T() + 1)
-		cw := b.Encode(randMsg(r, b.K()))
+		cw := encode(b, randMsg(r, b.K()))
 		recv := cw.Clone()
 		flipRandom(r, recv, e)
-		dec, corrected, ok := b.Decode(recv)
+		dec, corrected, ok := decode(b, recv)
 		return ok && corrected == e && dec.Equal(cw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -246,7 +246,7 @@ func TestBCHMinimumDistance(t *testing.T) {
 				msg.Set(i, true)
 			}
 		}
-		words = append(words, b.Encode(msg))
+		words = append(words, encode(b, msg))
 	}
 	minD := b.N() + 1
 	for i := range words {
@@ -264,20 +264,23 @@ func TestBCHMinimumDistance(t *testing.T) {
 func BenchmarkBCHEncode127(b *testing.B) {
 	code := MustBCH(BCHConfig{M: 7, T: 10})
 	msg := randMsg(rng.New(1), code.K())
+	var ws Workspace
+	cw := bitvec.New(code.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = code.Encode(msg)
+		code.EncodeInto(&ws, msg, cw)
 	}
 }
 
 func BenchmarkBCHDecode127(b *testing.B) {
 	code := MustBCH(BCHConfig{M: 7, T: 10})
 	r := rng.New(1)
-	cw := code.Encode(randMsg(r, code.K()))
+	cw := encode(code, randMsg(r, code.K()))
 	recv := cw.Clone()
 	flipRandom(r, recv, code.T())
+	var ws Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = code.Decode(recv)
+		_, _ = code.DecodeInto(&ws, recv, cw)
 	}
 }

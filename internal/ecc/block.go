@@ -9,17 +9,12 @@ import (
 // Block composes an inner code over several independent blocks, matching
 // the paper's remark that "incoming bits are clustered in blocks, which
 // are all error-corrected independently" and that "extension to multiple
-// blocks is fairly straightforward". Encode/Decode operate on the
-// concatenation; the composite fails as soon as any single block fails.
+// blocks is fairly straightforward". EncodeInto/DecodeInto operate on
+// the concatenation; the composite fails as soon as any single block
+// fails.
 type Block struct {
 	inner  Code
 	blocks int
-	// innerInto is the inner code's allocation-free decoder, cached at
-	// construction; nil when the inner code only implements Decode.
-	innerInto IntoDecoder
-	// innerEnc is the inner code's allocation-free encoder, cached at
-	// construction; nil when the inner code only implements Encode.
-	innerEnc IntoEncoder
 }
 
 // NewBlock wraps inner over the given number of blocks. It panics if
@@ -32,22 +27,22 @@ func NewBlock(inner Code, blocks int) *Block {
 	if _, nested := inner.(*Block); nested {
 		panic("ecc: Block cannot nest another Block")
 	}
-	b := &Block{inner: inner, blocks: blocks}
-	b.innerInto, _ = inner.(IntoDecoder)
-	b.innerEnc, _ = inner.(IntoEncoder)
-	return b
+	return &Block{inner: inner, blocks: blocks}
 }
 
-// PadToBlocks zero-pads v to a whole number of code blocks (at least
-// one) and returns it with the block count: the layout every
-// construction hands to NewBlock.
+// Blocks returns how many code blocks a bits-long response stream
+// occupies: whole blocks, at least one. It is the one layout rule of
+// every construction's stream, enrolled (PadToBlocks), reconstructed
+// (Reproducer) and crafted by the attacks.
+func Blocks(code Code, bits int) int {
+	return max((bits+code.N()-1)/code.N(), 1)
+}
+
+// PadToBlocks zero-pads v to the Blocks layout and returns it with the
+// block count, ready for NewBlock.
 func PadToBlocks(v bitvec.Vector, code Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (v.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return v.Concat(bitvec.New(blocks*n - v.Len())), blocks
+	blocks := Blocks(code, v.Len())
+	return v.Concat(bitvec.New(blocks*code.N() - v.Len())), blocks
 }
 
 // N returns blocks * inner.N().
@@ -62,21 +57,9 @@ func (b *Block) K() int { return b.blocks * b.inner.K() }
 // the semantics are per-block by design.
 func (b *Block) T() int { return b.inner.T() }
 
-// Encode encodes each K-bit slice independently and concatenates.
-func (b *Block) Encode(msg bitvec.Vector) bitvec.Vector {
-	checkLen("message", msg.Len(), b.K())
-	out := bitvec.New(0)
-	ik := b.inner.K()
-	for i := 0; i < b.blocks; i++ {
-		out = out.Concat(b.inner.Encode(msg.Slice(i*ik, (i+1)*ik)))
-	}
-	return out
-}
-
-// EncodeInto implements IntoEncoder block by block: each K-bit message
-// slice is extracted into a workspace buffer, encoded (through the inner
-// code's own EncodeInto when it has one), and written back into dst
-// word-level.
+// EncodeInto encodes block by block: each K-bit message slice is
+// extracted into a workspace buffer, encoded by the inner code, and
+// written back into dst word-level.
 func (b *Block) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), b.K())
 	checkLen("encode buffer", dst.Len(), b.N())
@@ -85,30 +68,17 @@ func (b *Block) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	out := ws.vec(&ws.blockOut, in)
 	for i := 0; i < b.blocks; i++ {
 		msg.SliceInto(i*ik, (i+1)*ik, m)
-		if b.innerEnc != nil {
-			b.innerEnc.EncodeInto(ws, m, out)
-			dst.PutAt(i*in, out)
-		} else {
-			dst.PutAt(i*in, b.inner.Encode(m))
-		}
+		b.inner.EncodeInto(ws, m, out)
+		dst.PutAt(i*in, out)
 	}
 }
 
-// Decode decodes each block independently. corrected sums over blocks; ok
-// is the conjunction of per-block outcomes (decoding continues past a
-// failed block so the total correction count stays meaningful).
-func (b *Block) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
-	var ws Workspace
-	out := bitvec.New(b.N())
-	total, allOK := b.DecodeInto(&ws, received, out)
-	return out, total, allOK
-}
-
-// DecodeInto implements IntoDecoder block by block: each inner block is
-// sliced into a workspace buffer, decoded (through the inner code's own
-// DecodeInto when it has one), and written back into dst word-level. As
-// in Decode, a failed block contributes its received bits to dst and
-// decoding continues.
+// DecodeInto decodes each block independently: each inner block is
+// sliced into a workspace buffer, decoded by the inner code, and
+// written back into dst word-level. corrected sums over blocks; ok is
+// the conjunction of per-block outcomes. A failed block contributes
+// its received bits to dst and decoding continues, so the total
+// correction count stays meaningful.
 func (b *Block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.N())
 	checkLen("decode buffer", dst.Len(), b.N())
@@ -119,31 +89,12 @@ func (b *Block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, boo
 	allOK := true
 	for i := 0; i < b.blocks; i++ {
 		received.SliceInto(i*in, (i+1)*in, recv)
-		var corrected int
-		var ok bool
-		if b.innerInto != nil {
-			corrected, ok = b.innerInto.DecodeInto(ws, recv, out)
-			dst.PutAt(i*in, out)
-		} else {
-			var cw bitvec.Vector
-			cw, corrected, ok = b.inner.Decode(recv)
-			dst.PutAt(i*in, cw)
-		}
+		corrected, ok := b.inner.DecodeInto(ws, recv, out)
+		dst.PutAt(i*in, out)
 		total += corrected
 		allOK = allOK && ok
 	}
 	return total, allOK
-}
-
-// Message extracts and concatenates the message bits of every block.
-func (b *Block) Message(codeword bitvec.Vector) bitvec.Vector {
-	checkLen("codeword", codeword.Len(), b.N())
-	in := b.inner.N()
-	out := bitvec.New(0)
-	for i := 0; i < b.blocks; i++ {
-		out = out.Concat(b.inner.Message(codeword.Slice(i*in, (i+1)*in)))
-	}
-	return out
 }
 
 // ContainsAllOnes holds iff the inner code contains all-ones (the

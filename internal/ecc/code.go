@@ -27,7 +27,10 @@ import (
 	"repro/internal/bitvec"
 )
 
-// Code is a binary block code with bounded-distance decoding.
+// Code is a binary block code with bounded-distance decoding. It has
+// one encoder and one decoder, both writing into caller-owned buffers
+// with caller-owned Workspace scratch, so a steady-state encode or
+// decode over a fixed code performs no heap allocations.
 type Code interface {
 	// N returns the codeword length in bits.
 	N() int
@@ -35,18 +38,17 @@ type Code interface {
 	K() int
 	// T returns the guaranteed error-correction radius.
 	T() int
-	// Encode maps a K-bit message to an N-bit codeword.
-	// It panics if msg.Len() != K.
-	Encode(msg bitvec.Vector) bitvec.Vector
-	// Decode corrects up to T errors in an N-bit received word. It
-	// returns the corrected codeword, the number of bit errors it
-	// corrected, and ok=false when the error pattern is detected to be
-	// uncorrectable. A decoder may also miscorrect silently when the
-	// pattern exceeds T; both outcomes count as key-reconstruction
-	// failure at the system level.
-	Decode(received bitvec.Vector) (codeword bitvec.Vector, corrected int, ok bool)
-	// Message extracts the K message bits from a codeword.
-	Message(codeword bitvec.Vector) bitvec.Vector
+	// EncodeInto maps a K-bit message to the N-bit codeword written
+	// into dst. It panics if msg.Len() != K or dst.Len() != N.
+	EncodeInto(ws *Workspace, msg, dst bitvec.Vector)
+	// DecodeInto corrects up to T errors in an N-bit received word,
+	// writing the corrected codeword into dst (length N). It returns
+	// the number of bit errors it corrected, and ok=false when the
+	// error pattern is detected to be uncorrectable; dst then holds the
+	// received word (per failed block, for a Block). A decoder may also
+	// miscorrect silently when the pattern exceeds T; both outcomes
+	// count as key-reconstruction failure at the system level.
+	DecodeInto(ws *Workspace, received, dst bitvec.Vector) (corrected int, ok bool)
 	// ContainsAllOnes reports whether the all-ones word is a codeword.
 	// See the package comment for why attacks care.
 	ContainsAllOnes() bool
@@ -59,7 +61,9 @@ func IsCodeword(c Code, w bitvec.Vector) bool {
 	if w.Len() != c.N() {
 		return false
 	}
-	cw, corrected, ok := c.Decode(w)
+	var ws Workspace
+	cw := bitvec.New(c.N())
+	corrected, ok := c.DecodeInto(&ws, w, cw)
 	return ok && corrected == 0 && cw.Equal(w)
 }
 

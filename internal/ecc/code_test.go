@@ -14,11 +14,11 @@ func TestRepetitionBasics(t *testing.T) {
 	}
 	one := bitvec.MustFromString("1")
 	zero := bitvec.MustFromString("0")
-	if !r.Encode(one).Equal(bitvec.Ones(7)) {
-		t.Fatal("Encode(1) != ones")
+	if !encode(r, one).Equal(bitvec.Ones(7)) {
+		t.Fatal("encode(1) != ones")
 	}
-	if !r.Encode(zero).IsZero() {
-		t.Fatal("Encode(0) != zeros")
+	if !encode(r, zero).IsZero() {
+		t.Fatal("encode(0) != zeros")
 	}
 	if !r.ContainsAllOnes() {
 		t.Fatal("repetition code must contain all-ones")
@@ -40,11 +40,11 @@ func TestRepetitionMajorityVote(t *testing.T) {
 		{"11111", true, 0},
 	}
 	for _, c := range cases {
-		cw, corrected, ok := r.Decode(bitvec.MustFromString(c.in))
+		cw, corrected, ok := decode(r, bitvec.MustFromString(c.in))
 		if !ok {
 			t.Fatalf("%s: majority vote cannot fail", c.in)
 		}
-		if got := r.Message(cw).Get(0); got != c.wantBit {
+		if got := systematic(r, cw).Get(0); got != c.wantBit {
 			t.Errorf("%s: bit %v, want %v", c.in, got, c.wantBit)
 		}
 		if corrected != c.corrected {
@@ -55,7 +55,7 @@ func TestRepetitionMajorityVote(t *testing.T) {
 
 func TestRepetitionZeroT(t *testing.T) {
 	r := NewRepetition(0) // (1,1) identity code
-	cw := r.Encode(bitvec.MustFromString("1"))
+	cw := encode(r, bitvec.MustFromString("1"))
 	if cw.Len() != 1 || !cw.Get(0) {
 		t.Fatal("identity code broken")
 	}
@@ -69,8 +69,8 @@ func TestBlockComposition(t *testing.T) {
 	}
 	r := rng.New(7)
 	msg := randMsg(r, blk.K())
-	cw := blk.Encode(msg)
-	if !blk.Message(cw).Equal(msg) {
+	cw := encode(blk, msg)
+	if !systematic(blk, cw).Equal(msg) {
 		t.Fatal("block message extraction failed")
 	}
 
@@ -80,7 +80,7 @@ func TestBlockComposition(t *testing.T) {
 		recv.Flip(b*15 + 1)
 		recv.Flip(b*15 + 7)
 	}
-	dec, corrected, ok := blk.Decode(recv)
+	dec, corrected, ok := decode(blk, recv)
 	if !ok || corrected != 6 || !dec.Equal(cw) {
 		t.Fatalf("spread errors: ok=%v corrected=%d", ok, corrected)
 	}
@@ -91,10 +91,10 @@ func TestBlockComposition(t *testing.T) {
 	recv2.Flip(0)
 	recv2.Flip(1)
 	recv2.Flip(2)
-	if _, _, ok := blk.Decode(recv2); ok {
+	if _, _, ok := decode(blk, recv2); ok {
 		// A miscorrection to a different codeword is possible; the
 		// result must then differ from cw.
-		dec2, _, _ := blk.Decode(recv2)
+		dec2, _, _ := decode(blk, recv2)
 		if dec2.Equal(cw) {
 			t.Fatal("concentrated t+1 errors decoded to original codeword")
 		}
@@ -120,14 +120,14 @@ func TestOffsetRoundTrip(t *testing.T) {
 		resp := randMsg(r, code.N())
 		off := EnrollOffset(code, resp, r)
 		// Noiseless reproduction.
-		got, corrected, ok := Reproduce(code, off, resp)
+		got, corrected, ok := reproduce(code, off, resp)
 		if !ok || corrected != 0 || !got.Equal(resp) {
 			t.Fatalf("%s: noiseless reproduce failed", code)
 		}
 		// Up-to-t noise per block still reproduces.
 		noisy := resp.Clone()
 		noisy.Flip(0)
-		got, corrected, ok = Reproduce(code, off, noisy)
+		got, corrected, ok = reproduce(code, off, noisy)
 		if !ok || corrected != 1 || !got.Equal(resp) {
 			t.Fatalf("%s: 1-error reproduce failed (ok=%v c=%d)", code, ok, corrected)
 		}
@@ -141,7 +141,7 @@ func TestOffsetFailsBeyondRadius(t *testing.T) {
 	off := EnrollOffset(code, resp, r)
 	noisy := resp.Clone()
 	flipRandom(r, noisy, code.T()+1)
-	got, _, ok := Reproduce(code, off, noisy)
+	got, _, ok := reproduce(code, off, noisy)
 	if ok && got.Equal(resp) {
 		t.Fatal("reproduced original response from beyond-radius noise")
 	}
@@ -178,8 +178,10 @@ func TestOffsetForBindsChosenResponse(t *testing.T) {
 	code := MustBCH(BCHConfig{M: 4, T: 2})
 	target := randMsg(r, code.N())
 	msg := randMsg(r, code.K())
-	off := OffsetFor(code, target, msg)
-	got, corrected, ok := Reproduce(code, off, target)
+	var ws Workspace
+	off := bitvec.New(code.N())
+	OffsetForInto(code, target, msg, &ws, off)
+	got, corrected, ok := reproduce(code, off, target)
 	if !ok || corrected != 0 || !got.Equal(target) {
 		t.Fatal("crafted offset does not bind target response")
 	}
@@ -187,7 +189,7 @@ func TestOffsetForBindsChosenResponse(t *testing.T) {
 
 func TestConsistentWithLengthMismatch(t *testing.T) {
 	code := NewRepetition(1)
-	if ConsistentWith(code, Offset{W: bitvec.New(3)}, bitvec.New(5)) {
+	if ConsistentWith(code, bitvec.New(3), bitvec.New(5)) {
 		t.Fatal("length mismatch must be inconsistent")
 	}
 }

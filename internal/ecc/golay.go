@@ -79,33 +79,9 @@ func encode24(msg uint16) (left, right uint16) {
 	return msg, mulB(msg)
 }
 
-// Encode produces the 23-bit codeword: the extended codeword with its
-// LAST parity coordinate punctured.
-func (g *Golay) Encode(msg bitvec.Vector) bitvec.Vector {
-	checkLen("message", msg.Len(), 12)
-	var m uint16
-	for i := 0; i < 12; i++ {
-		if msg.Get(i) {
-			m |= 1 << uint(i)
-		}
-	}
-	left, right := encode24(m)
-	out := bitvec.New(23)
-	for i := 0; i < 12; i++ {
-		if left>>uint(i)&1 == 1 {
-			out.Set(i, true)
-		}
-	}
-	for i := 0; i < 11; i++ { // right bit 11 is punctured
-		if right>>uint(i)&1 == 1 {
-			out.Set(12+i, true)
-		}
-	}
-	return out
-}
-
-// EncodeInto implements IntoEncoder; the arithmetic runs in packed
-// uint16 halves, so ws may be nil.
+// EncodeInto writes the 23-bit codeword: the extended codeword with its
+// LAST parity coordinate punctured. The arithmetic runs in packed uint16
+// halves, so ws may be nil.
 func (g *Golay) EncodeInto(_ *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), 12)
 	checkLen("encode buffer", dst.Len(), 23)
@@ -161,20 +137,10 @@ func decode24(left, right uint16) (eLeft, eRight uint16, ok bool) {
 	return 0, 0, false
 }
 
-// Decode corrects up to 3 errors in a 23-bit word. As a perfect code it
-// always returns a codeword; ok is always true. corrected counts the
-// bit flips applied.
-func (g *Golay) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
-	out := bitvec.New(23)
-	corrected, ok := g.DecodeInto(nil, received, out)
-	if !ok {
-		return received, corrected, false
-	}
-	return out, corrected, true
-}
-
-// DecodeInto implements IntoDecoder; the arithmetic decoder works in
-// packed uint16 halves, so ws may be nil.
+// DecodeInto corrects up to 3 errors in a 23-bit word. As a perfect
+// code it always decodes to a codeword; ok is always true. corrected
+// counts the bit flips applied. The arithmetic decoder works in packed
+// uint16 halves, so ws may be nil.
 func (g *Golay) DecodeInto(_ *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), 23)
 	checkLen("decode buffer", dst.Len(), 23)
@@ -226,12 +192,6 @@ func (g *Golay) DecodeInto(_ *Workspace, received, dst bitvec.Vector) (int, bool
 		}
 	}
 	return best, true
-}
-
-// Message extracts the systematic 12 message bits.
-func (g *Golay) Message(codeword bitvec.Vector) bitvec.Vector {
-	checkLen("codeword", codeword.Len(), 23)
-	return codeword.Slice(0, 12)
 }
 
 // ContainsAllOnes reports true: the all-ones 23-tuple is a codeword of

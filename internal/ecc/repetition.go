@@ -32,18 +32,8 @@ func (r *Repetition) K() int { return 1 }
 // T returns the correction radius t.
 func (r *Repetition) T() int { return r.t }
 
-// Encode repeats the single message bit n times.
-func (r *Repetition) Encode(msg bitvec.Vector) bitvec.Vector {
-	checkLen("message", msg.Len(), 1)
-	out := bitvec.New(r.N())
-	if msg.Get(0) {
-		out = bitvec.Ones(r.N())
-	}
-	return out
-}
-
-// EncodeInto implements IntoEncoder; the repeated bit is written with
-// word-level fills, so ws may be nil.
+// EncodeInto repeats the single message bit n times with word-level
+// fills, so ws may be nil.
 func (r *Repetition) EncodeInto(_ *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), 1)
 	checkLen("encode buffer", dst.Len(), r.N())
@@ -54,19 +44,11 @@ func (r *Repetition) EncodeInto(_ *Workspace, msg, dst bitvec.Vector) {
 	}
 }
 
-// Decode takes a majority vote. With n odd the vote never ties, so ok is
-// always true; patterns beyond t miscorrect silently. The vote itself is
+// DecodeInto takes a majority vote. With n odd the vote never ties, so
+// ok is always true; patterns beyond t miscorrect silently. The vote is
 // word-parallel: Weight counts set bits a 64-bit word at a time through
 // the hardware popcount, and the winning codeword is written with
-// word-level fills (see DecodeInto).
-func (r *Repetition) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
-	cw := bitvec.New(r.N())
-	corrected, ok := r.DecodeInto(nil, received, cw)
-	return cw, corrected, ok
-}
-
-// DecodeInto implements IntoDecoder; the majority vote needs no
-// workspace scratch, so ws may be nil.
+// word-level fills. It needs no workspace scratch, so ws may be nil.
 func (r *Repetition) DecodeInto(_ *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), r.N())
 	checkLen("decode buffer", dst.Len(), r.N())
@@ -77,14 +59,6 @@ func (r *Repetition) DecodeInto(_ *Workspace, received, dst bitvec.Vector) (int,
 	}
 	dst.Zero()
 	return w, true
-}
-
-// Message returns the first bit of the codeword.
-func (r *Repetition) Message(codeword bitvec.Vector) bitvec.Vector {
-	checkLen("codeword", codeword.Len(), r.N())
-	out := bitvec.New(1)
-	out.Set(0, codeword.Get(0))
-	return out
 }
 
 // ContainsAllOnes always reports true: the all-ones word encodes bit 1.

@@ -7,28 +7,26 @@ import (
 	"repro/internal/rng"
 )
 
-// randomWord returns an n-bit vector with each bit set with probability
-// roughly errRate-ish noise applied to a random codeword of c.
+// noisyCodeword returns a random codeword of c with flips random bit
+// flips applied (a position may flip more than once).
 func noisyCodeword(t *testing.T, c Code, src *rng.Source, flips int) bitvec.Vector {
 	t.Helper()
 	msg := bitvec.New(c.K())
 	for i := 0; i < msg.Len(); i++ {
 		msg.Set(i, src.Bool())
 	}
-	w := c.Encode(msg)
+	w := encode(c, msg)
 	for f := 0; f < flips; f++ {
 		w.Flip(src.Intn(w.Len()))
 	}
 	return w
 }
 
-// TestDecodeIntoMatchesDecode sweeps every code family across error
-// weights from zero to beyond the radius and checks that the workspace
-// decoder reproduces Decode bit-for-bit: same corrected count, same ok,
-// same output word (received echoed on failure), with a SHARED workspace
-// across calls so buffer-reuse bugs cannot hide.
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	codes := []Code{
+// testCodes is every code family, in every variant the decoder
+// branches on: plain, expurgated and shortened BCH, the perfect Golay
+// code, a repetition code and Blocks over BCH and Golay.
+func testCodes() []Code {
+	return []Code{
 		NewRepetition(3),
 		NewGolay(),
 		MustBCH(BCHConfig{M: 5, T: 3}),
@@ -37,26 +35,28 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 3),
 		NewBlock(NewGolay(), 2),
 	}
+}
+
+// TestDecodeIntoMatchesDecode sweeps every code family across error
+// weights from zero to beyond the radius and checks that DecodeInto on a
+// SHARED workspace, reused across calls and codes, matches the one-shot
+// decode on a fresh one bit for bit: same corrected count, same ok, same
+// output word (received echoed on failure), so buffer-reuse bugs cannot
+// hide.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
 	src := rng.New(2024)
-	for _, c := range codes {
-		id, ok := c.(IntoDecoder)
-		if !ok {
-			t.Fatalf("%s does not implement IntoDecoder", c)
-		}
-		var ws Workspace
+	var ws Workspace
+	for _, c := range testCodes() {
 		dst := bitvec.New(c.N())
 		for flips := 0; flips <= c.T()+2; flips++ {
 			for trial := 0; trial < 25; trial++ {
 				w := noisyCodeword(t, c, src, flips)
-				wantCW, wantCorr, wantOK := c.Decode(w)
-				gotCorr, gotOK := id.DecodeInto(&ws, w, dst)
+				wantCW, wantCorr, wantOK := decode(c, w)
+				gotCorr, gotOK := c.DecodeInto(&ws, w, dst)
 				if gotCorr != wantCorr || gotOK != wantOK {
-					t.Fatalf("%s flips=%d: DecodeInto (%d,%v) != Decode (%d,%v)",
+					t.Fatalf("%s flips=%d: shared workspace (%d,%v) != fresh (%d,%v)",
 						c, flips, gotCorr, gotOK, wantCorr, wantOK)
 				}
-				// Decode's first return is the corrected word on ok and
-				// the received word (per failed block, for Block) on
-				// failure; DecodeInto must reproduce it either way.
 				if !dst.Equal(wantCW) {
 					t.Fatalf("%s flips=%d ok=%v: output words differ", c, flips, wantOK)
 				}
@@ -65,38 +65,13 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestReproduceIntoMatchesReproduce pins the code-offset scratch paths:
-// ReproduceInto on a fixed Block, and the Reproducer kernel over stream
+// TestReproducerMatchesReproduce pins the Reproducer kernel over stream
 // lengths that land below, on and across block boundaries (0, 1, n,
-// n+1, 3n bits), against Reproduce on the PadToBlocks layout — with one
-// Reproducer resized across all of them so buffer-reuse bugs cannot
-// hide.
-func TestReproduceIntoMatchesReproduce(t *testing.T) {
+// n+1, 3n bits) against the step-by-step code-offset reconstruction on
+// the PadToBlocks layout — with one Reproducer resized across all of
+// them so buffer-reuse bugs cannot hide.
+func TestReproducerMatchesReproduce(t *testing.T) {
 	src := rng.New(77)
-	c := NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 2)
-	resp := bitvec.New(c.N())
-	for i := 0; i < resp.Len(); i++ {
-		resp.Set(i, src.Bool())
-	}
-	o := EnrollOffset(c, resp, src)
-	var ws Workspace
-	dst := bitvec.New(c.N())
-	for flips := 0; flips <= c.T()+2; flips++ {
-		noisy := resp.Clone()
-		for f := 0; f < flips; f++ {
-			noisy.Flip(src.Intn(noisy.Len()))
-		}
-		wantRec, wantCorr, wantOK := Reproduce(c, o, noisy)
-		gotCorr, gotOK := ReproduceInto(c, o, noisy, &ws, dst)
-		if gotCorr != wantCorr || gotOK != wantOK {
-			t.Fatalf("flips=%d: ReproduceInto (%d,%v) != Reproduce (%d,%v)",
-				flips, gotCorr, gotOK, wantCorr, wantOK)
-		}
-		if wantOK && !dst.Equal(wantRec) {
-			t.Fatalf("flips=%d: recovered responses differ", flips)
-		}
-	}
-
 	code := MustBCH(BCHConfig{M: 5, T: 3})
 	n := code.N()
 	var r Reproducer
@@ -106,6 +81,9 @@ func TestReproduceIntoMatchesReproduce(t *testing.T) {
 			enrolled.Set(i, src.Bool())
 		}
 		padded, blocks := PadToBlocks(enrolled, code)
+		if blocks != Blocks(code, bits) || padded.Len() != blocks*n {
+			t.Fatalf("bits=%d: PadToBlocks gives %d blocks of %d bits, Blocks %d", bits, blocks, padded.Len(), Blocks(code, bits))
+		}
 		block := NewBlock(code, blocks)
 		off := EnrollOffset(block, padded, src)
 		r.Resize(code, bits)
@@ -122,13 +100,16 @@ func TestReproduceIntoMatchesReproduce(t *testing.T) {
 				stream.Set(i, noisy.Get(i))
 			}
 			noisyPadded, _ := PadToBlocks(noisy, code)
-			wantRec, _, wantOK := Reproduce(block, off, noisyPadded)
-			gotRec, gotOK := r.Reproduce(off.W)
+			wantRec, _, wantOK := reproduce(block, off, noisyPadded)
+			gotRec, gotOK := r.Reproduce(off)
 			if gotOK != wantOK {
-				t.Fatalf("bits=%d flips=%d: Reproducer ok=%v, Reproduce ok=%v", bits, flips, gotOK, wantOK)
+				t.Fatalf("bits=%d flips=%d: Reproducer ok=%v, reproduce ok=%v", bits, flips, gotOK, wantOK)
 			}
 			if wantOK && !gotRec.Equal(wantRec) {
 				t.Fatalf("bits=%d flips=%d: recovered streams differ", bits, flips)
+			}
+			if flips <= code.T() && (!gotOK || !gotRec.Equal(padded)) {
+				t.Fatalf("bits=%d flips=%d: within the radius, the enrolled stream was not recovered", bits, flips)
 			}
 			// The stream is left as written; scribble on it so the next
 			// Stream call must zero it again.
@@ -168,44 +149,56 @@ func TestReproducerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEncodeIntoMatchesEncode sweeps every code family over random
-// messages and checks the workspace encoder against Encode bit-for-bit,
-// with a SHARED workspace across calls so buffer-reuse bugs cannot hide.
-func TestEncodeIntoMatchesEncode(t *testing.T) {
-	codes := []Code{
-		NewRepetition(3),
-		NewGolay(),
-		MustBCH(BCHConfig{M: 5, T: 3}),
-		MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}),
-		MustBCH(BCHConfig{M: 6, T: 4, Shorten: 5}),
-		NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 3),
-		NewBlock(NewGolay(), 2),
-	}
-	src := rng.New(4096)
-	for _, c := range codes {
-		ie, ok := c.(IntoEncoder)
-		if !ok {
-			t.Fatalf("%s does not implement IntoEncoder", c)
+// referenceEncode is the independent encoder each family is checked
+// against: BCH (alone or per block) by polynomial division; Golay and
+// repetition, whose only encoder is EncodeInto, by the one-shot form on
+// a fresh workspace.
+func referenceEncode(c Code, msg bitvec.Vector) bitvec.Vector {
+	switch c := c.(type) {
+	case *BCH:
+		return polyDivEncode(c, msg)
+	case *Block:
+		ik := c.inner.K()
+		out := bitvec.New(0)
+		for i := 0; i < c.blocks; i++ {
+			out = out.Concat(referenceEncode(c.inner, msg.Slice(i*ik, (i+1)*ik)))
 		}
-		var ws Workspace
+		return out
+	}
+	return encode(c, msg)
+}
+
+// TestEncodeIntoMatchesEncode sweeps every code family over random
+// messages and checks EncodeInto against the reference encoder bit for
+// bit — BCH's in-place XOR reduction against polynomial division — with
+// a SHARED workspace across calls and codes so buffer-reuse bugs cannot
+// hide. Every codeword must also decode to itself and carry its message
+// in the systematic positions.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	src := rng.New(4096)
+	var ws Workspace
+	for _, c := range testCodes() {
 		dst := bitvec.New(c.N())
 		for trial := 0; trial < 50; trial++ {
 			msg := bitvec.New(c.K())
 			for i := 0; i < msg.Len(); i++ {
 				msg.Set(i, src.Bool())
 			}
-			want := c.Encode(msg)
-			ie.EncodeInto(&ws, msg, dst)
-			if !dst.Equal(want) {
-				t.Fatalf("%s trial %d: EncodeInto differs from Encode", c, trial)
+			c.EncodeInto(&ws, msg, dst)
+			if !dst.Equal(referenceEncode(c, msg)) {
+				t.Fatalf("%s trial %d: EncodeInto differs from the reference encoder", c, trial)
+			}
+			if !IsCodeword(c, dst) || !systematic(c, dst).Equal(msg) {
+				t.Fatalf("%s trial %d: EncodeInto output is not the systematic codeword of msg", c, trial)
 			}
 		}
 	}
 }
 
-// TestOffsetForIntoMatchesOffsetFor pins the attack layer's crafted
-// offset fast path against the allocating original.
-func TestOffsetForIntoMatchesOffsetFor(t *testing.T) {
+// TestOffsetForIntoMatchesReference pins the attack layer's crafted
+// offset, on a workspace shared across calls, against response XOR the
+// reference encoding.
+func TestOffsetForIntoMatchesReference(t *testing.T) {
 	src := rng.New(88)
 	c := NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 2)
 	var ws Workspace
@@ -219,10 +212,9 @@ func TestOffsetForIntoMatchesOffsetFor(t *testing.T) {
 		for i := 0; i < msg.Len(); i++ {
 			msg.Set(i, src.Bool())
 		}
-		want := OffsetFor(c, resp, msg)
 		OffsetForInto(c, resp, msg, &ws, dst)
-		if !dst.Equal(want.W) {
-			t.Fatalf("trial %d: OffsetForInto differs from OffsetFor", trial)
+		if !dst.Equal(resp.Xor(referenceEncode(c, msg))) {
+			t.Fatalf("trial %d: OffsetForInto differs from response XOR encode(msg)", trial)
 		}
 	}
 }

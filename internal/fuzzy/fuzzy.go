@@ -60,11 +60,10 @@ func Enroll(response bitvec.Vector, p Params, src *rng.Source) (Helper, []byte, 
 	}
 	padded, blocks := ecc.PadToBlocks(response, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
-	off := ecc.EnrollOffset(block, padded, src)
-	key := deriveKey(padded, off.W, p.Robust)
-	h := Helper{W: off.W}
+	h := Helper{W: ecc.EnrollOffset(block, padded, src)}
+	key := deriveKey(padded, h.W, p.Robust)
 	if p.Robust {
-		h.Tag = commitment(padded, off.W)
+		h.Tag = commitment(padded, h.W)
 	}
 	return h, key, nil
 }
@@ -74,12 +73,14 @@ func Reconstruct(response bitvec.Vector, p Params, h Helper) ([]byte, error) {
 	if p.Code == nil {
 		return nil, errors.New("fuzzy: nil ECC")
 	}
-	padded, blocks := ecc.PadToBlocks(response, p.Code)
-	if padded.Len() != h.W.Len() {
-		return nil, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), padded.Len())
+	var rep ecc.Reproducer
+	rep.Resize(p.Code, response.Len())
+	stream := rep.Stream()
+	if stream.Len() != h.W.Len() {
+		return nil, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), stream.Len())
 	}
-	block := ecc.NewBlock(p.Code, blocks)
-	recovered, _, ok := ecc.Reproduce(block, ecc.Offset{W: h.W}, padded)
+	stream.PutAt(0, response)
+	recovered, ok := rep.Reproduce(h.W)
 	if !ok {
 		return nil, ErrReconstructFailed
 	}

@@ -325,7 +325,7 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	stream := bitvec.New(StreamLen(&g))
 	padded, blocks := ecc.PadToBlocks(stream, p.Code)
 	block := ecc.NewBlock(p.Code, blocks)
-	attack.Offset = ecc.EnrollOffset(block, padded, rng.New(502)).W
+	attack.Offset = ecc.EnrollOffset(block, padded, rng.New(502))
 
 	got, err := reconstruct(a, p, attack, a.Config().NominalEnv(), a.NewNoise(rng.New(503)))
 	if err != nil {

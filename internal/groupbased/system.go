@@ -202,7 +202,7 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, fmt.Errorf("groupbased: enrollment self-check: %w", err)
 	}
-	return Helper{Poly: poly, Grouping: grouping, Offset: offset.W}, key, nil
+	return Helper{Poly: poly, Grouping: grouping, Offset: offset}, key, nil
 }
 
 // Scratch carries the reusable buffers of Reconstruct. A zero value

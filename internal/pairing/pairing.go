@@ -284,9 +284,18 @@ func (h SeqPairHelper) Validate(n int) error {
 
 // Marshal serializes the pair list for NVM.
 func (h SeqPairHelper) Marshal() []byte {
-	buf := make([]byte, 0, 2+4*len(h.Pairs))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Pairs)))
-	for _, p := range h.Pairs {
+	return AppendSeqPairs(make([]byte, 0, 2+4*len(h.Pairs)), len(h.Pairs), func(i int) Pair { return h.Pairs[i] })
+}
+
+// AppendSeqPairs appends the NVM wire format of an n-pair list whose
+// i-th pair is pair(i) to buf: the little-endian uint16 count, then
+// each pair's A and B as little-endian uint16s (UnmarshalSeqPair's
+// input). Callers that derive a manipulated list from another can
+// marshal it without building it first.
+func AppendSeqPairs(buf []byte, n int, pair func(i int) Pair) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(n))
+	for i := 0; i < n; i++ {
+		p := pair(i)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.A))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.B))
 	}

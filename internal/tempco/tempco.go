@@ -247,7 +247,7 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	block := ecc.NewBlock(p.Code, blocks)
 	offset := ecc.EnrollOffset(block, padded, src)
 	key := keyBits(infos, padded)
-	return Helper{Pairs: infos, Offset: offset.W}, key, nil
+	return Helper{Pairs: infos, Offset: offset}, key, nil
 }
 
 func intervalsIntersect(al, ah, bl, bh float64) bool {

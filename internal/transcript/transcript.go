@@ -56,10 +56,11 @@ type Spec struct {
 	// but legitimately differ from serial ones: arms run on forked
 	// noise.
 	Workers int `json:"workers,omitempty"`
-	// ForkSeed is the BatchTarget fork-seed base (0 = 99, the value the
-	// historical invariance tests pinned). Ignored when Workers == 0.
-	ForkSeed uint64 `json:"fork_seed,omitempty"`
 }
+
+// forkSeed is the BatchTarget fork-seed base of every batched run, the
+// value the historical invariance tests pinned.
+const forkSeed = 99
 
 // PhaseCost is one phase of the attack's query-cost breakdown. Wall
 // time is deliberately absent: transcripts record only deterministic
@@ -158,7 +159,7 @@ func (ep *enrollPool) codeOf(build func() ecc.Code) ecc.Code {
 // Enroll manufactures spec's reference device and returns its oracle
 // and enrolled key. It is the same per-attack parameter table Run
 // attacks, exported for the tools that drive an attack themselves
-// (puf-attack, the A2/A4 ablations). Workers and ForkSeed are ignored:
+// (puf-attack, the A2/A4 ablations). Workers is ignored:
 // wrapping the oracle is the caller's choice.
 func Enroll(spec Spec) (attack.Target, bitvec.Vector, error) {
 	c, err := enroll(spec, nil)
@@ -183,10 +184,6 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 	}
 	target := c.target
 	if spec.Workers > 0 {
-		forkSeed := spec.ForkSeed
-		if forkSeed == 0 {
-			forkSeed = 99
-		}
 		if target, err = attack.NewBatchTarget(c.target, spec.Workers, forkSeed); err != nil {
 			return Transcript{}, err
 		}
